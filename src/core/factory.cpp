@@ -10,7 +10,6 @@
 #include "sched/islip.hpp"
 #include "sched/maxsize.hpp"
 #include "sched/pim.hpp"
-#include "sched/rrm.hpp"
 #include "sched/wavefront.hpp"
 
 namespace lcf::core {
@@ -22,7 +21,10 @@ std::unique_ptr<sched::Scheduler> make_scheduler(
     if (name == "islip") return std::make_unique<sched::IslipScheduler>(config);
     if (name == "wfront") return std::make_unique<sched::WavefrontScheduler>();
     if (name == "ilqf") return std::make_unique<sched::IlqfScheduler>(config);
-    if (name == "rrm") return std::make_unique<sched::RrmScheduler>(config);
+    if (name == "rrm") {
+        return std::make_unique<sched::IslipScheduler>(
+            config, sched::GrantPointerRule::kUnconditional);
+    }
     if (name == "maxsize") return std::make_unique<sched::MaxSizeScheduler>();
     if (name == "lcf_central") {
         return std::make_unique<LcfCentralScheduler>(

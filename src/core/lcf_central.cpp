@@ -2,6 +2,8 @@
 
 #include <cassert>
 
+#include "sched/arbiter.hpp"
+
 namespace lcf::core {
 
 LcfCentralScheduler::LcfCentralScheduler(const LcfCentralOptions& options)
@@ -141,8 +143,7 @@ void LcfCentralScheduler::run_lcf(const sched::RequestMatrix& requests,
             std::size_t best_nrq = n_out + 1;
             std::size_t best_rank = n_in;
             for (const std::size_t i : cand_.set_bits()) {
-                const std::size_t rank =
-                    i >= start ? i - start : i + n_in - start;
+                const std::size_t rank = sched::rotated_rank(i, start, n_in);
                 const std::size_t v = nrq_[i];
                 if (v < best_nrq || (v == best_nrq && rank < best_rank)) {
                     gnt = i;

@@ -1,19 +1,8 @@
 #include "core/lcf_dist.hpp"
 
+#include "sched/arbiter.hpp"
+
 namespace lcf::core {
-
-namespace {
-
-/// Position of `idx` in the rotating priority chain that starts at
-/// `start` (both < n): 0 for the start position itself, n-1 for the one
-/// just before it. Replaces the reference's per-candidate `(base + k) % n`
-/// scan with one conditional subtraction per set bit.
-constexpr std::size_t rotated_rank(std::size_t idx, std::size_t start,
-                                   std::size_t n) noexcept {
-    return idx >= start ? idx - start : idx + n - start;
-}
-
-}  // namespace
 
 LcfDistScheduler::LcfDistScheduler(const LcfDistOptions& options)
     : options_(options) {}
@@ -78,7 +67,7 @@ std::size_t LcfDistScheduler::iterate(const sched::RequestMatrix& requests,
             std::size_t best_nrq = n_out + 1;
             std::size_t best_rank = n_in;
             for (const std::size_t i : cand.set_bits()) {
-                const std::size_t rank = rotated_rank(i, start, n_in);
+                const std::size_t rank = sched::rotated_rank(i, start, n_in);
                 if (nrq[i] < best_nrq ||
                     (nrq[i] == best_nrq && rank < best_rank)) {
                     best = i;
@@ -98,7 +87,7 @@ std::size_t LcfDistScheduler::iterate(const sched::RequestMatrix& requests,
         for (const std::size_t j : granted) {
             const auto i = static_cast<std::size_t>(grant_to[j]);
             const std::size_t start = (cycle_ + i) % n_out;
-            const std::size_t rank = rotated_rank(j, start, n_out);
+            const std::size_t rank = sched::rotated_rank(j, start, n_out);
             if (accept_of[i] == sched::kUnmatched || ngt[j] < accept_ngt[i] ||
                 (ngt[j] == accept_ngt[i] && rank < accept_rank[i])) {
                 accept_of[i] = static_cast<std::int32_t>(j);

@@ -1,0 +1,105 @@
+#pragma once
+// Shared core of the rotating-pointer baseline schedulers (iSLIP/RRM,
+// PIM, iLQF, FIFO): the free-port sets, each output's candidate set and
+// each input's received grants that every request / grant / accept
+// matcher repeats. A scheduler supplies only its pick rules; a pick over
+// a candidate or grant set is a word-parallel BitVec query (e.g. "first
+// set bit at or after the pointer" via find_first_from) instead of a
+// per-bit `(ptr + k) % n` probe loop.
+
+#include <cstddef>
+#include <vector>
+
+#include "sched/matching.hpp"
+#include "sched/request_matrix.hpp"
+#include "util/bitvec.hpp"
+
+namespace lcf::sched {
+
+/// Position of `idx` in the rotating priority chain that starts at
+/// `start` (both < n): 0 for the start position itself, n-1 for the one
+/// just before it. Turns a rotated scan into a (key, rank) minimum over
+/// set bits, with one conditional subtraction per bit.
+constexpr std::size_t rotated_rank(std::size_t idx, std::size_t start,
+                                   std::size_t n) noexcept {
+    return idx >= start ? idx - start : idx + n - start;
+}
+
+/// Per-slot request / grant / accept state, sized from the request
+/// matrix on every begin(). Holds non-owning pointers to the request
+/// matrix and matching of the current schedule() call.
+class Arbiter {
+public:
+    /// Start a slot: reset `out` to the empty matching over the
+    /// request matrix's geometry and mark every port free.
+    void begin(const RequestMatrix& requests, Matching& out) {
+        const std::size_t n_in = requests.inputs();
+        const std::size_t n_out = requests.outputs();
+        requests_ = &requests;
+        out_ = &out;
+        out.reset(n_in, n_out);
+        if (free_inputs_.size() != n_in || free_outputs_.size() != n_out) {
+            free_inputs_ = cand_ = granted_ = util::BitVec(n_in);
+            free_outputs_ = util::BitVec(n_out);
+            offers_.assign(n_in, util::BitVec(n_out));
+        }
+        free_inputs_.fill();
+        free_outputs_.fill();
+    }
+
+    [[nodiscard]] const util::BitVec& free_outputs() const noexcept {
+        return free_outputs_;
+    }
+
+    /// Output j's candidates: its requesters that are still unmatched.
+    /// The reference stays valid until the next candidates() call.
+    [[nodiscard]] const util::BitVec& candidates(std::size_t j) noexcept {
+        cand_.assign_and(requests_->col(j), free_inputs_);
+        return cand_;
+    }
+
+    /// Pair input i with output j and take both off the free sets.
+    void match(std::size_t i, std::size_t j) noexcept {
+        out_->match(i, j);
+        free_inputs_.reset(i);
+        free_outputs_.reset(j);
+    }
+
+    /// Up to `iterations` request / grant / accept rounds; returns the
+    /// number executed (a round that issues no grant is the last).
+    /// Every free output with candidates grants `grant(j, candidates)`;
+    /// then every input holding grants, in ascending order, accepts
+    /// `accept(i, offers, iteration)` out of its set of granting outputs.
+    template <class Grant, class Accept>
+    std::size_t iterate(std::size_t iterations, Grant&& grant,
+                        Accept&& accept) {
+        std::size_t executed = 0;
+        for (std::size_t iter = 0; iter < iterations; ++iter) {
+            ++executed;
+            for (const std::size_t j : free_outputs_.set_bits()) {
+                if (candidates(j).none()) continue;
+                const std::size_t i = grant(j, cand_);
+                offers_[i].set(j);
+                granted_.set(i);
+            }
+            if (granted_.none()) break;
+            for (const std::size_t i : granted_.set_bits()) {
+                match(i, accept(i, offers_[i], iter));
+                offers_[i].clear();
+            }
+            granted_.clear();
+        }
+        return executed;
+    }
+
+private:
+    const RequestMatrix* requests_ = nullptr;
+    Matching* out_ = nullptr;
+    util::BitVec free_inputs_;
+    util::BitVec free_outputs_;
+    util::BitVec cand_;                // scratch: candidates(j)
+    util::BitVec granted_;             // inputs holding grants this round
+    std::vector<util::BitVec> offers_;  // per input: outputs granting it
+};
+
+}  // namespace lcf::sched

@@ -8,21 +8,22 @@ void FifoRrScheduler::reset(std::size_t inputs, std::size_t outputs) {
 }
 
 void FifoRrScheduler::schedule(const RequestMatrix& requests, Matching& out) {
-    out.reset(requests.inputs(), requests.outputs());
+    const std::size_t n_in = requests.inputs();
+    if (inputs_ != n_in || grant_ptr_.size() != requests.outputs()) {
+        reset(n_in, requests.outputs());
+    }
+    arbiter_.begin(requests, out);
     // In FIFO mode each input requests at most its head-of-line
-    // destination, so grants never conflict on the input side. The
-    // matched-input guard makes the arbiter well-defined on general
-    // request matrices too (it then acts as a greedy row-exclusive
-    // round-robin arbiter).
-    for (std::size_t j = 0; j < requests.outputs(); ++j) {
-        for (std::size_t k = 0; k < requests.inputs(); ++k) {
-            const std::size_t i = (grant_ptr_[j] + k) % requests.inputs();
-            if (!out.input_matched(i) && requests.get(i, j)) {
-                out.match(i, j);
-                grant_ptr_[j] = (i + 1) % requests.inputs();
-                break;
-            }
-        }
+    // destination, so grants never conflict on the input side. Granting
+    // only free inputs makes the arbiter well-defined on general request
+    // matrices too (it then acts as a greedy row-exclusive round-robin
+    // arbiter).
+    for (const std::size_t j : arbiter_.free_outputs().set_bits()) {
+        const util::BitVec& cand = arbiter_.candidates(j);
+        if (cand.none()) continue;
+        const std::size_t i = cand.find_first_from(grant_ptr_[j]);
+        arbiter_.match(i, j);
+        grant_ptr_[j] = (i + 1) % n_in;
     }
 }
 

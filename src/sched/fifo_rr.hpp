@@ -4,6 +4,7 @@
 // the destination of its head-of-line packet — and suffers head-of-line
 // blocking, capping uniform-traffic throughput near 58.6 % [Karol 87].
 
+#include "sched/arbiter.hpp"
 #include "sched/scheduler.hpp"
 
 #include <vector>
@@ -27,6 +28,7 @@ public:
 private:
     std::vector<std::size_t> grant_ptr_;  // per-output rotating pointer
     std::size_t inputs_ = 0;
+    Arbiter arbiter_;
 };
 
 }  // namespace lcf::sched

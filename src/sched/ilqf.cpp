@@ -2,6 +2,33 @@
 
 namespace lcf::sched {
 
+namespace {
+
+/// The set bit with the largest weight; among equals, the one earliest
+/// in the rotating chain from `start` — the (-weight, rotated rank)
+/// minimum, as LCF's (NRQ, rank) walk.
+template <class Weight>
+std::size_t longest(const util::BitVec& set, std::size_t start,
+                    Weight&& weight) {
+    const std::size_t n = set.size();
+    std::size_t best = util::BitVec::npos;
+    std::uint32_t best_weight = 0;
+    std::size_t best_rank = n;
+    for (const std::size_t k : set.set_bits()) {
+        const std::uint32_t w = weight(k);
+        const std::size_t rank = rotated_rank(k, start, n);
+        if (best == util::BitVec::npos || w > best_weight ||
+            (w == best_weight && rank < best_rank)) {
+            best = k;
+            best_weight = w;
+            best_rank = rank;
+        }
+    }
+    return best;
+}
+
+}  // namespace
+
 IlqfScheduler::IlqfScheduler(const SchedulerConfig& config)
     : iterations_(config.iterations) {}
 
@@ -26,50 +53,20 @@ std::uint32_t IlqfScheduler::weight(std::size_t input,
 void IlqfScheduler::schedule(const RequestMatrix& requests, Matching& out) {
     const std::size_t n_in = requests.inputs();
     const std::size_t n_out = requests.outputs();
-    out.reset(n_in, n_out);
-    grant_to_.assign(n_out, kUnmatched);
-
-    for (std::size_t iter = 0; iter < iterations_; ++iter) {
-        // Grant: each unmatched output grants the requesting unmatched
-        // input with the longest VOQ; the rotating chain breaks ties.
-        bool any_grant = false;
-        for (std::size_t j = 0; j < n_out; ++j) {
-            grant_to_[j] = kUnmatched;
-            if (out.output_matched(j)) continue;
-            std::uint32_t best = 0;
-            for (std::size_t k = 0; k < n_in; ++k) {
-                const std::size_t i = (cycle_ + j + k) % n_in;
-                if (out.input_matched(i) || !requests.get(i, j)) continue;
-                const std::uint32_t w = weight(i, j);
-                if (grant_to_[j] == kUnmatched || w > best) {
-                    grant_to_[j] = static_cast<std::int32_t>(i);
-                    best = w;
-                }
-            }
-            any_grant = any_grant || grant_to_[j] != kUnmatched;
-        }
-        if (!any_grant) break;
-
-        // Accept: each input accepts the granting output whose VOQ is
-        // longest (drain the worst backlog first).
-        for (std::size_t i = 0; i < n_in; ++i) {
-            if (out.input_matched(i)) continue;
-            std::int32_t best_out = kUnmatched;
-            std::uint32_t best = 0;
-            for (std::size_t k = 0; k < n_out; ++k) {
-                const std::size_t j = (cycle_ + i + k) % n_out;
-                if (grant_to_[j] != static_cast<std::int32_t>(i)) continue;
-                const std::uint32_t w = weight(i, j);
-                if (best_out == kUnmatched || w > best) {
-                    best_out = static_cast<std::int32_t>(j);
-                    best = w;
-                }
-            }
-            if (best_out != kUnmatched) {
-                out.match(i, static_cast<std::size_t>(best_out));
-            }
-        }
-    }
+    arbiter_.begin(requests, out);
+    // Grant to the requester with the longest VOQ, accept the grant from
+    // the longest VOQ (drain the worst backlog first); chains rotating
+    // with the cycle break ties.
+    last_iterations_ = arbiter_.iterate(
+        iterations_,
+        [&](std::size_t j, const util::BitVec& cand) {
+            return longest(cand, (cycle_ + j) % n_in,
+                           [&](std::size_t i) { return weight(i, j); });
+        },
+        [&](std::size_t i, const util::BitVec& offers, std::size_t) {
+            return longest(offers, (cycle_ + i) % n_out,
+                           [&](std::size_t j) { return weight(i, j); });
+        });
     ++cycle_;
 }
 

@@ -8,6 +8,7 @@
 // breaking ties. Included as an extension baseline (not in the paper's
 // Figure 12) for the bench ablations.
 
+#include "sched/arbiter.hpp"
 #include "sched/scheduler.hpp"
 
 #include <vector>
@@ -28,6 +29,13 @@ public:
         return "ilqf";
     }
 
+    [[nodiscard]] std::size_t last_iterations() const noexcept override {
+        return last_iterations_;
+    }
+    [[nodiscard]] std::size_t iteration_limit() const noexcept override {
+        return iterations_;
+    }
+
     [[nodiscard]] bool wants_queue_lengths() const noexcept override {
         return true;
     }
@@ -39,10 +47,11 @@ private:
                                        std::size_t output) const noexcept;
 
     std::size_t iterations_;
+    std::size_t last_iterations_ = 0;
     std::size_t outputs_ = 0;
     std::vector<std::uint32_t> lengths_;  // row-major snapshot, may be empty
     std::size_t cycle_ = 0;               // rotates the tie-break chains
-    std::vector<std::int32_t> grant_to_;  // scratch: output -> granted input
+    Arbiter arbiter_;
 };
 
 }  // namespace lcf::sched

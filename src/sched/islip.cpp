@@ -2,8 +2,9 @@
 
 namespace lcf::sched {
 
-IslipScheduler::IslipScheduler(const SchedulerConfig& config)
-    : iterations_(config.iterations) {}
+IslipScheduler::IslipScheduler(const SchedulerConfig& config,
+                               GrantPointerRule rule)
+    : iterations_(config.iterations), rule_(rule) {}
 
 void IslipScheduler::reset(std::size_t inputs, std::size_t outputs) {
     grant_ptr_.assign(outputs, 0);
@@ -13,49 +14,29 @@ void IslipScheduler::reset(std::size_t inputs, std::size_t outputs) {
 void IslipScheduler::schedule(const RequestMatrix& requests, Matching& out) {
     const std::size_t n_in = requests.inputs();
     const std::size_t n_out = requests.outputs();
-    out.reset(n_in, n_out);
-    if (grant_ptr_.size() != n_out) grant_ptr_.assign(n_out, 0);
-    if (accept_ptr_.size() != n_in) accept_ptr_.assign(n_in, 0);
-    grant_to_.assign(n_out, kUnmatched);
-
-    last_iterations_ = 0;
-    for (std::size_t iter = 0; iter < iterations_; ++iter) {
-        ++last_iterations_;
-        // Grant: each unmatched output grants the first unmatched
-        // requesting input at or after its pointer. Pointers are NOT
-        // moved here; they move only on first-iteration accepts.
-        bool any_grant = false;
-        for (std::size_t j = 0; j < n_out; ++j) {
-            grant_to_[j] = kUnmatched;
-            if (out.output_matched(j)) continue;
-            for (std::size_t k = 0; k < n_in; ++k) {
-                const std::size_t i = (grant_ptr_[j] + k) % n_in;
-                if (!out.input_matched(i) && requests.get(i, j)) {
-                    grant_to_[j] = static_cast<std::int32_t>(i);
-                    any_grant = true;
-                    break;
-                }
-            }
-        }
-        if (!any_grant) break;
-
-        // Accept: each input accepts the first granting output at or
-        // after its accept pointer.
-        for (std::size_t i = 0; i < n_in; ++i) {
-            if (out.input_matched(i)) continue;
-            for (std::size_t k = 0; k < n_out; ++k) {
-                const std::size_t j = (accept_ptr_[i] + k) % n_out;
-                if (grant_to_[j] == static_cast<std::int32_t>(i)) {
-                    out.match(i, j);
-                    if (iter == 0) {
-                        grant_ptr_[j] = (i + 1) % n_in;
-                        accept_ptr_[i] = (j + 1) % n_out;
-                    }
-                    break;
-                }
-            }
-        }
+    if (grant_ptr_.size() != n_out || accept_ptr_.size() != n_in) {
+        reset(n_in, n_out);
     }
+    arbiter_.begin(requests, out);
+    last_iterations_ = arbiter_.iterate(
+        iterations_,
+        [&](std::size_t j, const util::BitVec& cand) {
+            return cand.find_first_from(grant_ptr_[j]);
+        },
+        [&](std::size_t i, const util::BitVec& offers, std::size_t iter) {
+            const std::size_t j = offers.find_first_from(accept_ptr_[i]);
+            if (iter == 0) {
+                const std::size_t next = (i + 1) % n_in;
+                grant_ptr_[j] = next;
+                accept_ptr_[i] = (j + 1) % n_out;
+                if (rule_ == GrantPointerRule::kUnconditional) {
+                    for (const std::size_t g : offers.set_bits()) {
+                        grant_ptr_[g] = next;  // refused grants move too
+                    }
+                }
+            }
+            return j;
+        });
 }
 
 }  // namespace lcf::sched

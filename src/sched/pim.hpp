@@ -4,10 +4,8 @@
 // both the grant and accept steps. The direct ancestor of the distributed
 // LCF scheduler, which replaces randomness with request-count priorities.
 
+#include "sched/arbiter.hpp"
 #include "sched/scheduler.hpp"
-
-#include <vector>
-
 #include "util/rng.hpp"
 
 namespace lcf::sched {
@@ -34,9 +32,7 @@ private:
     std::size_t last_iterations_ = 0;
     util::Xoshiro256 rng_;
     std::uint64_t seed_;
-    // Scratch reused across slots to avoid per-slot allocation.
-    std::vector<std::int32_t> grant_of_input_;   // output that granted input i
-    std::vector<std::vector<std::int32_t>> grants_;  // grants received per input
+    Arbiter arbiter_;
 };
 
 }  // namespace lcf::sched

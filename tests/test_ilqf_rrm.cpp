@@ -1,11 +1,12 @@
 // Tests for the extension baselines: iLQF (longest-queue-first
 // iterative matching with VOQ-occupancy weights) and RRM (iSLIP's
-// synchronisation-prone predecessor).
+// synchronisation-prone predecessor, iSLIP with the unconditional
+// grant-pointer rule).
 
 #include <gtest/gtest.h>
 
 #include "sched/ilqf.hpp"
-#include "sched/rrm.hpp"
+#include "sched/islip.hpp"
 #include "sim/runner.hpp"
 #include "util/rng.hpp"
 
@@ -58,7 +59,9 @@ TEST(Ilqf, UnweightedFallbackStillValidAndIterative) {
 
 TEST(Ilqf, WantsQueueLengths) {
     EXPECT_TRUE(IlqfScheduler().wants_queue_lengths());
-    EXPECT_FALSE(RrmScheduler().wants_queue_lengths());
+    EXPECT_FALSE(
+        IslipScheduler({}, GrantPointerRule::kUnconditional)
+            .wants_queue_lengths());
 }
 
 TEST(Ilqf, DrainsBacklogHotspotInSimulation) {
@@ -75,8 +78,10 @@ TEST(Ilqf, DrainsBacklogHotspotInSimulation) {
 
 TEST(Rrm, ValidMatchingsAndDeterminism) {
     util::Xoshiro256 rng(5);
-    RrmScheduler a(SchedulerConfig{.iterations = 4});
-    RrmScheduler b(SchedulerConfig{.iterations = 4});
+    IslipScheduler a(SchedulerConfig{.iterations = 4},
+                     GrantPointerRule::kUnconditional);
+    IslipScheduler b(SchedulerConfig{.iterations = 4},
+                     GrantPointerRule::kUnconditional);
     a.reset(8, 8);
     b.reset(8, 8);
     Matching ma, mb;
@@ -102,7 +107,8 @@ TEST(Rrm, PointerSynchronisationHurtsFullLoadThroughput) {
     for (std::size_t i = 0; i < 8; ++i) {
         for (std::size_t j = 0; j < 8; ++j) full.set(i, j);
     }
-    RrmScheduler rrm(SchedulerConfig{.iterations = 1});
+    IslipScheduler rrm(SchedulerConfig{.iterations = 1},
+                       GrantPointerRule::kUnconditional);
     rrm.reset(8, 8);
     Matching m;
     double rrm_total = 0;

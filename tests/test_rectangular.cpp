@@ -27,19 +27,20 @@ RequestMatrix random_rect(util::Xoshiro256& rng, std::size_t inputs,
 }
 
 TEST(Rectangular, SchedulersStayValidOnWideAndTallMatrices) {
-    // Concentrators (more inputs than outputs) and expanders (fewer).
+    // Concentrators (more inputs than outputs) and expanders (fewer),
+    // plus a switch that grows after reset(): schedule() must size its
+    // own state from the request matrix, never from the last reset().
+    struct Case {
+        std::size_t reset_in, reset_out, n_in, n_out;
+    };
     util::Xoshiro256 rng(404);
-    for (const auto& [n_in, n_out] :
-         {std::pair<std::size_t, std::size_t>{8, 3},
-          {3, 8},
-          {16, 4},
-          {2, 12}}) {
-        for (const auto* name :
-             {"pim", "islip", "maxsize", "fifo", "ilqf", "rrm",
-              "lcf_central", "lcf_central_rr", "lcf_dist", "lcf_dist_rr"}) {
+    for (const auto& [reset_in, reset_out, n_in, n_out] :
+         {Case{8, 3, 8, 3}, Case{3, 8, 3, 8}, Case{16, 4, 16, 4},
+          Case{2, 12, 2, 12}, Case{4, 4, 8, 8}}) {
+        for (const auto& name : core::scheduler_names()) {
             auto s = core::make_scheduler(
                 name, sched::SchedulerConfig{.iterations = 8, .seed = 5});
-            s->reset(n_in, n_out);
+            s->reset(reset_in, reset_out);
             Matching m;
             for (int trial = 0; trial < 100; ++trial) {
                 const auto r = random_rect(rng, n_in, n_out, 0.4);
