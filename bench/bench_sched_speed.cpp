@@ -89,6 +89,11 @@ void BM_LcfDistRrReference(benchmark::State& state) {
 }
 void BM_Pim(benchmark::State& state) { run_scheduler(state, "pim"); }
 void BM_Islip(benchmark::State& state) { run_scheduler(state, "islip"); }
+void BM_Rrm(benchmark::State& state) { run_scheduler(state, "rrm"); }
+// No queue-length snapshot is fed, so this times iLQF's unweighted
+// fallback (every request weighs 1; the rotating chain decides).
+void BM_Ilqf(benchmark::State& state) { run_scheduler(state, "ilqf"); }
+void BM_Fifo(benchmark::State& state) { run_scheduler(state, "fifo"); }
 void BM_Wavefront(benchmark::State& state) { run_scheduler(state, "wfront"); }
 void BM_MaxSize(benchmark::State& state) { run_scheduler(state, "maxsize"); }
 
@@ -122,6 +127,9 @@ BENCHMARK(BM_LcfDistReference)->Apply(radix_args);
 BENCHMARK(BM_LcfDistRrReference)->Apply(radix_args);
 BENCHMARK(BM_Pim)->Apply(radix_args);
 BENCHMARK(BM_Islip)->Apply(radix_args);
+BENCHMARK(BM_Rrm)->Apply(radix_args);
+BENCHMARK(BM_Ilqf)->Apply(radix_args);
+BENCHMARK(BM_Fifo)->Apply(radix_args);
 BENCHMARK(BM_Wavefront)->Apply(radix_args);
 BENCHMARK(BM_MaxSize)->Apply(radix_args);
 BENCHMARK(BM_RtlDatapath)->Arg(8)->Arg(16)->Arg(32);

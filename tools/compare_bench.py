@@ -20,7 +20,10 @@ times slower than Release); when --fresh-build-type is given and
 disagrees with the baseline's recorded build_type, a loud warning is
 printed. The comparison still runs — the loose ratio usually absorbs
 it in the Release-vs-Debug-baseline direction — but the output cannot
-be trusted as a perf signal.
+be trusted as a perf signal. A warning is also printed when either
+file says the google-benchmark library itself was built as debug
+("library_build_type" in the baseline, context.library_build_type in
+the fresh JSON).
 
 Only the Python standard library is used.
 """
@@ -64,7 +67,8 @@ def main():
 
     baseline_doc = load_doc(args.baseline)
     baseline = cpu_times(baseline_doc)
-    fresh = cpu_times(load_doc(args.fresh))
+    fresh_doc = load_doc(args.fresh)
+    fresh = cpu_times(fresh_doc)
 
     base_build = baseline_doc.get("build_type", "unknown")
     base_rev = baseline_doc.get("git_rev", "unknown")
@@ -81,6 +85,15 @@ def main():
               "regenerate the baseline with tools/make_bench_baseline.py "
               "from a matching build.", file=sys.stderr)
         print("=" * 72, file=sys.stderr)
+
+    for label, flavour in (
+            ("baseline", baseline_doc.get("library_build_type")),
+            ("fresh run", fresh_doc.get("context", {}).get(
+                "library_build_type"))):
+        if flavour == "debug":
+            print(f"WARNING: the {label}'s google-benchmark library was "
+                  "built as debug; its timing overhead inflates small "
+                  "benchmarks.", file=sys.stderr)
 
     common = sorted(set(baseline) & set(fresh))
     if not common:

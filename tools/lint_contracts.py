@@ -10,7 +10,10 @@ diagnostics, so CI fails the moment a PR breaks one:
                    core::make_scheduler has a *_reference twin that is
                    registered, enumerated by reference_scheduler_names(),
                    pinned in tests/test_sched_equivalence.cpp, and
-                   documented in docs/performance.md.
+                   documented in docs/performance.md; and every name in
+                   core::scheduler_names() is pinned, either by such a
+                   twin or by a digest entry in
+                   tests/test_sched_golden.cpp.
   sched-docs       every name in core::scheduler_names() is documented in
                    docs/algorithms.md.
   config-surface   every SimConfig field is documented in
@@ -77,6 +80,7 @@ def _line_of(text: str, needle: str, default: int = 1) -> int:
 
 _FACTORY = pathlib.Path("src/core/factory.cpp")
 _EQUIVALENCE = pathlib.Path("tests/test_sched_equivalence.cpp")
+_GOLDEN = pathlib.Path("tests/test_sched_golden.cpp")
 _ALGO_DOCS = pathlib.Path("docs/algorithms.md")
 _PERF_DOCS = pathlib.Path("docs/performance.md")
 
@@ -159,6 +163,22 @@ def check_reference_twin(root: pathlib.Path) -> list[Finding]:
                 f'optimized scheduler "{name}" is not documented in '
                 f"{_PERF_DOCS}",
             ))
+
+    # Every enumerated scheduler needs an oracle: a twin pinned in the
+    # equivalence suite, or golden digests ({"name", ...} table rows).
+    golden_path = root / _GOLDEN
+    golden = _read(golden_path) if golden_path.exists() else ""
+    for name in sorted(_listed_in(factory, "scheduler_names")):
+        twin_pinned = (name + "_reference" in registered
+                       and f'"{name}"' in equivalence)
+        if twin_pinned or re.search(r'{\s*"' + re.escape(name) + r'"\s*,',
+                                    golden):
+            continue
+        findings.append(Finding(
+            factory_path, _line_of(factory, f'"{name}"'), "reference-twin",
+            f'scheduler "{name}" has no pin — add golden digests to '
+            f"{_GOLDEN} or a *_reference twin pinned in {_EQUIVALENCE}",
+        ))
     return findings
 
 
@@ -430,6 +450,12 @@ def self_test() -> int:
             failures,
         )
         _expect(
+            any('"islip" has no pin' in f.message and f.line == 4
+                for f in twin),
+            "reference-twin: unpinned islip at factory.cpp:4",
+            failures,
+        )
+        _expect(
             any("sched-docs" == f.rule and "lcf_central" in f.message
                 for f in findings),
             "sched-docs: lcf_central missing from algorithms docs",
@@ -479,6 +505,7 @@ def self_test() -> int:
             )
         )
         (root / _EQUIVALENCE).write_text('Values("lcf_central")\n')
+        (root / _GOLDEN).write_text('{"islip", 16, 16, 4, 0x0ULL},\n')
         (root / _ALGO_DOCS).write_text("covers lcf_central and islip\n")
         (root / _PERF_DOCS).write_text("lcf_central twin story\n")
         (root / _SIM_DOCS).write_text("`ports` and `mystery_knob`\n")

@@ -17,10 +17,12 @@ baseline document with:
     via --before (the numbers quoted in docs/performance.md);
   - "raw": the flat {benchmark name: cpu ns} map tools/compare_bench.py
     checks CI runs against;
-  - "build_type" (read from the build dir's CMakeCache.txt — NOT the
-    google-benchmark library's build flavour) and "git_rev", so
-    compare_bench.py can warn when a Release run is compared against a
-    Debug baseline or vice versa.
+  - "build_type" (read from the build dir's CMakeCache.txt) and
+    "git_rev", so compare_bench.py can warn when a Release run is
+    compared against a Debug baseline or vice versa;
+  - "library_build_type": the google-benchmark library's own build
+    flavour from the JSON context ("debug" adds timing overhead that
+    compare_bench.py warns about).
 
 Only the Python standard library is used.
 """
@@ -196,6 +198,8 @@ def main():
         "workload": spec["workload"],
         "build_type": read_build_type(args.build_dir),
         "git_rev": read_git_rev(),
+        "library_build_type": doc.get("context", {}).get(
+            "library_build_type", "unknown"),
         "host_cpus": doc.get("context", {}).get("num_cpus"),
         "results": results,
         "raw": raw,
@@ -206,6 +210,7 @@ def main():
     print(f"wrote {output}: {len(results)} result rows, "
           f"{len(raw)} raw entries "
           f"(build_type={baseline['build_type']}, "
+          f"library_build_type={baseline['library_build_type']}, "
           f"git_rev={baseline['git_rev']})")
     for row in results:
         if args.bench == "sched_speed":
