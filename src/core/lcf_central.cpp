@@ -135,22 +135,10 @@ void LcfCentralScheduler::run_lcf(const sched::RequestMatrix& requests,
         std::size_t gnt = rr_pos_input;  // the round-robin position wins
         if (!rr_wins) {
             // LCF: grant the requester with the fewest outstanding
-            // requests — the candidate minimizing (NRQ, rotated rank),
-            // where ranks rotate from the round-robin offset: exactly
-            // the reference's rotating tie-break priority chain, in one
-            // walk of the candidate set bits.
-            const std::size_t start = rr_pos_input;
-            std::size_t best_nrq = n_out + 1;
-            std::size_t best_rank = n_in;
-            for (const std::size_t i : cand_.set_bits()) {
-                const std::size_t rank = sched::rotated_rank(i, start, n_in);
-                const std::size_t v = nrq_[i];
-                if (v < best_nrq || (v == best_nrq && rank < best_rank)) {
-                    gnt = i;
-                    best_nrq = v;
-                    best_rank = rank;
-                }
-            }
+            // requests, the chain rotating from the round-robin offset
+            // breaking ties — exactly the reference's priority chain.
+            gnt = sched::min_rotated(cand_, rr_pos_input,
+                                     [&](std::size_t i) { return nrq_[i]; });
         }
         grant(gnt, col, out);
     }

@@ -16,6 +16,7 @@
 // request matrix is granted before the iterations begin, bounding the
 // time until any persistent request is served.
 
+#include "sched/arbiter.hpp"
 #include "sched/scheduler.hpp"
 
 #include <cstdint>
@@ -41,12 +42,13 @@ struct LcfDistOptions {
 /// every per-port tie-break pointer by one position each scheduling
 /// cycle, mirroring the hardware's PRIO shift registers (§4.2).
 ///
-/// Implementation: free-input/free-output BitVecs turn the NRQ
-/// recomputation into one row ∩ free_outputs popcount per initiator, and
-/// the grant/accept selections into walks over candidate set bits with a
-/// rotated-rank tie-break — no per-bit `requests.get(i, j)` probing and
-/// no `%` in the inner loops. Bit-identical to
-/// LcfDistReferenceScheduler (enforced by the equivalence suite).
+/// Implementation: the rounds run on sched::Arbiter, the same
+/// request / grant / accept loop as PIM and iSLIP. Before each round an
+/// initiator's NRQ is one row ∩ free_outputs popcount; the grant and
+/// accept picks are sched::min_rotated over the candidate and offer
+/// sets. Per-port NRQ/NGT live in members, so a warm scheduler does not
+/// allocate. Bit-identical to LcfDistReferenceScheduler (enforced by the
+/// equivalence suite).
 class LcfDistScheduler final : public sched::Scheduler {
 public:
     explicit LcfDistScheduler(const LcfDistOptions& options = {});
@@ -57,14 +59,6 @@ public:
     [[nodiscard]] std::string_view name() const noexcept override {
         return options_.round_robin ? "lcf_dist_rr" : "lcf_dist";
     }
-
-    /// Run up to `iterations` iterations on `requests` starting from the
-    /// partial matching `out` (exposed so tests can single-step the
-    /// Figure 9 example). Does not advance round-robin state. Returns
-    /// the number of iterations actually executed (fewer than the budget
-    /// when the matcher converges early).
-    std::size_t iterate(const sched::RequestMatrix& requests,
-                        std::size_t iterations, sched::Matching& out) const;
 
     [[nodiscard]] std::size_t last_iterations() const noexcept override {
         return last_iterations_;
@@ -88,6 +82,9 @@ private:
     std::size_t rr_output_ = 0;
     std::size_t cycle_ = 0;  // drives tie-break pointer rotation
     std::size_t last_iterations_ = 0;
+    std::vector<std::uint32_t> nrq_;  // per input: requests to free outputs
+    std::vector<std::uint32_t> ngt_;  // per output: requests seen this round
+    sched::Arbiter arbiter_;
 };
 
 }  // namespace lcf::core

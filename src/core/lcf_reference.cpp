@@ -277,6 +277,8 @@ void LcfDistReferenceScheduler::schedule(const sched::RequestMatrix& requests,
     last_iterations_ = 0;
     if (n_in == 0 || n_out == 0) return;
 
+    rr_input_ %= n_in;  // a shrunk switch wraps its RR position
+    rr_output_ %= n_out;
     if (options_.round_robin && requests.get(rr_input_, rr_output_)) {
         // The single round-robin position is granted before regular LCF
         // iterations take place (§5).

@@ -39,6 +39,10 @@ public:
     }
     /// True when no input claims any output.
     [[nodiscard]] bool empty() const noexcept;
+    /// Withdraw every claim.
+    void clear() noexcept {
+        for (auto& r : rows_) r.clear();
+    }
 
 private:
     std::vector<util::BitVec> rows_;

@@ -1,13 +1,17 @@
 #pragma once
-// Shared core of the rotating-pointer baseline schedulers (iSLIP/RRM,
-// PIM, iLQF, FIFO): the free-port sets, each output's candidate set and
-// each input's received grants that every request / grant / accept
-// matcher repeats. A scheduler supplies only its pick rules; a pick over
-// a candidate or grant set is a word-parallel BitVec query (e.g. "first
-// set bit at or after the pointer" via find_first_from) instead of a
-// per-bit `(ptr + k) % n` probe loop.
+// Shared core of the iterative request / grant / accept matchers
+// (iSLIP/RRM, PIM, iLQF, FIFO, distributed LCF) and of the wavefront
+// sweep: the free-port sets, each output's candidate set and each
+// input's received grants. A scheduler supplies only its pick rules; a
+// pick over a candidate or grant set is a word-parallel BitVec query
+// ("first set bit at or after the pointer" via find_first_from) or a
+// min_rotated() over the set bits, instead of a per-bit
+// `(ptr + k) % n` probe loop.
 
+#include <algorithm>
+#include <cassert>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "sched/matching.hpp"
@@ -23,6 +27,26 @@ namespace lcf::sched {
 constexpr std::size_t rotated_rank(std::size_t idx, std::size_t start,
                                    std::size_t n) noexcept {
     return idx >= start ? idx - start : idx + n - start;
+}
+
+/// The set bit of the non-empty `set` minimising (key(bit),
+/// rotated_rank(bit, start, set.size())): the lowest key, ties going to
+/// the bit earliest in the rotating chain from `start`. Keys must fit in
+/// 32 bits; each bit is scored as one packed `(key << 32) | rank` word,
+/// so the minimum costs a single compare per bit.
+template <class Key>
+std::size_t min_rotated(const util::BitVec& set, std::size_t start,
+                        Key&& key) {
+    const std::size_t n = set.size();
+    std::uint64_t best = UINT64_MAX;
+    for (const std::size_t k : set.set_bits()) {
+        const std::uint64_t v = key(k);
+        assert(v <= UINT32_MAX);
+        best = std::min(best, v << 32 | rotated_rank(k, start, n));
+    }
+    assert(best != UINT64_MAX);
+    const std::size_t idx = start + (best & UINT32_MAX);
+    return idx >= n ? idx - n : idx;
 }
 
 /// Per-slot request / grant / accept state, sized from the request
@@ -47,6 +71,9 @@ public:
         free_outputs_.fill();
     }
 
+    [[nodiscard]] const util::BitVec& free_inputs() const noexcept {
+        return free_inputs_;
+    }
     [[nodiscard]] const util::BitVec& free_outputs() const noexcept {
         return free_outputs_;
     }
@@ -65,31 +92,37 @@ public:
         free_outputs_.reset(j);
     }
 
-    /// Up to `iterations` request / grant / accept rounds; returns the
-    /// number executed (a round that issues no grant is the last).
-    /// Every free output with candidates grants `grant(j, candidates)`;
-    /// then every input holding grants, in ascending order, accepts
-    /// `accept(i, offers, iteration)` out of its set of granting outputs.
+    /// One request / grant / accept round; returns false when it
+    /// issues no grant (the matcher has converged). Every free output
+    /// with candidates grants `grant(j, candidates)`; then every input
+    /// holding grants, in ascending order, accepts
+    /// `accept(i, offers, iter)` out of its set of granting outputs.
+    template <class Grant, class Accept>
+    bool round(std::size_t iter, Grant&& grant, Accept&& accept) {
+        for (const std::size_t j : free_outputs_.set_bits()) {
+            if (candidates(j).none()) continue;
+            const std::size_t i = grant(j, cand_);
+            offers_[i].set(j);
+            granted_.set(i);
+        }
+        if (granted_.none()) return false;
+        for (const std::size_t i : granted_.set_bits()) {
+            match(i, accept(i, offers_[i], iter));
+            offers_[i].clear();
+        }
+        granted_.clear();
+        return true;
+    }
+
+    /// Up to `iterations` rounds; returns the number executed (a round
+    /// that issues no grant is the last).
     template <class Grant, class Accept>
     std::size_t iterate(std::size_t iterations, Grant&& grant,
                         Accept&& accept) {
-        std::size_t executed = 0;
-        for (std::size_t iter = 0; iter < iterations; ++iter) {
-            ++executed;
-            for (const std::size_t j : free_outputs_.set_bits()) {
-                if (candidates(j).none()) continue;
-                const std::size_t i = grant(j, cand_);
-                offers_[i].set(j);
-                granted_.set(i);
-            }
-            if (granted_.none()) break;
-            for (const std::size_t i : granted_.set_bits()) {
-                match(i, accept(i, offers_[i], iter));
-                offers_[i].clear();
-            }
-            granted_.clear();
+        std::size_t iter = 0;
+        while (iter < iterations && round(iter++, grant, accept)) {
         }
-        return executed;
+        return iter;
     }
 
 private:

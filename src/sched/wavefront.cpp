@@ -7,30 +7,26 @@ void WavefrontScheduler::reset(std::size_t /*inputs*/, std::size_t /*outputs*/) 
 }
 
 void WavefrontScheduler::schedule(const RequestMatrix& requests, Matching& out) {
-    const std::size_t n_in = requests.inputs();
     const std::size_t n_out = requests.outputs();
-    out.reset(n_in, n_out);
-    if (n_in == 0 || n_out == 0) return;
+    arbiter_.begin(requests, out);
+    if (requests.inputs() == 0 || n_out == 0) return;
 
     // Wrapped diagonal d holds cells (i, j) with (i + j) mod n_out == d
     // (square switches in practice; rectangular ones sweep per-row).
     // Only still-free inputs are visited: set bits iterate in ascending
     // row order, so each diagonal matches exactly the cells the naive
     // full scan would.
-    if (free_inputs_.size() != n_in) free_inputs_ = util::BitVec(n_in);
-    free_inputs_.fill();
-    const std::size_t diags = n_out;
-    for (std::size_t step = 0; step < diags && free_inputs_.any(); ++step) {
-        const std::size_t d = (priority_diag_ + step) % diags;
-        for (const std::size_t i : free_inputs_.set_bits()) {
-            const std::size_t j = (d + n_out - (i % n_out)) % n_out;
-            if (!out.output_matched(j) && requests.get(i, j)) {
-                out.match(i, j);
-                free_inputs_.reset(i);
+    const util::BitVec& free_inputs = arbiter_.free_inputs();
+    for (std::size_t step = 0; step < n_out && free_inputs.any(); ++step) {
+        const std::size_t d = (priority_diag_ + step) % n_out;
+        for (const std::size_t i : free_inputs.set_bits()) {
+            const std::size_t j = rotated_rank(d, i % n_out, n_out);
+            if (arbiter_.free_outputs().test(j) && requests.get(i, j)) {
+                arbiter_.match(i, j);
             }
         }
     }
-    priority_diag_ = (priority_diag_ + 1) % diags;
+    priority_diag_ = (priority_diag_ + 1) % n_out;
 }
 
 }  // namespace lcf::sched

@@ -5,17 +5,17 @@
 // in a single step and the whole schedule in n steps. The diagonal that
 // is swept first rotates every slot, which provides round-robin fairness.
 
+#include "sched/arbiter.hpp"
 #include "sched/scheduler.hpp"
-#include "util/bitvec.hpp"
 
 namespace lcf::sched {
 
 /// Wrapped wavefront arbiter (`wfront` in the paper's Figure 12).
 ///
-/// The software sweep keeps a free-inputs bit vector and walks only the
-/// still-unmatched rows of each diagonal (in ascending row order, so the
-/// result is identical to the naive full scan), terminating early once
-/// every input is matched.
+/// The software sweep walks only the still-unmatched rows of each
+/// diagonal (the sched::Arbiter free-input set, in ascending row order,
+/// so the result is identical to the naive full scan), terminating early
+/// once every input is matched.
 class WavefrontScheduler final : public Scheduler {
 public:
     void reset(std::size_t inputs, std::size_t outputs) override;
@@ -26,7 +26,7 @@ public:
 
 private:
     std::size_t priority_diag_ = 0;  // diagonal swept first this slot
-    util::BitVec free_inputs_;       // scratch: inputs not yet matched
+    Arbiter arbiter_;
 };
 
 }  // namespace lcf::sched

@@ -15,7 +15,8 @@ SwitchSim::SwitchSim(const SimConfig& config,
       metrics_(config.ports, config.ports, config.warmup_slots,
                config.record_service_matrix),
       requests_(config.ports),
-      matching_(config.ports) {
+      matching_(config.ports),
+      down_ports_(config.ports) {
     if (config_.ports == 0) {
         throw std::invalid_argument("ports must be positive");
     }
@@ -68,7 +69,6 @@ SwitchSim::SwitchSim(const SimConfig& config,
             checker_->reset(config_.ports, config_.ports);
         }
     }
-    port_up_.assign(config_.ports, true);
     if (!config_.fault_plan.empty()) {
         injector_.emplace(config_.fault_plan);
         injector_->reset(config_.ports);
@@ -122,7 +122,7 @@ void SwitchSim::step_arrivals() {
         const std::int32_t dst = arrival_buf_[i];
         if (dst == traffic::kNoArrival) continue;
         metrics_.on_generated();
-        if (!port_up_[i]) {
+        if (down_ports_.test(i)) {
             // A crashed host offers the packet into the void.
             metrics_.on_dropped();
             ++next_packet_id_;
@@ -248,13 +248,12 @@ void SwitchSim::mask_down_ports() {
     // matrix — their rows (as initiators) and their columns (as targets)
     // — so the scheduler matches only the surviving ports and never
     // wastes a grant on a connection nobody can terminate.
+    if (down_ports_.none()) return;
     for (std::size_t i = 0; i < config_.ports; ++i) {
-        if (!port_up_[i]) {
+        if (down_ports_.test(i)) {
             requests_.row(i).clear();
-            continue;
-        }
-        for (std::size_t j = 0; j < config_.ports; ++j) {
-            if (!port_up_[j]) requests_.set(i, j, false);
+        } else {
+            requests_.row(i).subtract(down_ports_);
         }
     }
 }
@@ -305,7 +304,7 @@ void SwitchSim::step() {
     if (injector_) {
         injector_->begin_slot(slot_);
         for (std::size_t i = 0; i < config_.ports; ++i) {
-            port_up_[i] = injector_->host_up(i, slot_);
+            down_ports_.set(i, !injector_->host_up(i, slot_));
         }
     }
     step_arrivals();

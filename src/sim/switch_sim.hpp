@@ -28,6 +28,7 @@
 #include "sim/packet_queue.hpp"
 #include "sim/voq.hpp"
 #include "traffic/traffic.hpp"
+#include "util/bitvec.hpp"
 
 namespace lcf::sim {
 
@@ -143,10 +144,6 @@ public:
     [[nodiscard]] const std::optional<obs::ParanoidChecker>& checker() const noexcept {
         return checker_;
     }
-    /// Structured scheduler counters accumulated so far.
-    [[nodiscard]] const obs::SchedCounters& sched_counters() const noexcept {
-        return counters_;
-    }
     /// Fault injector (engaged iff the config's plan is non-empty).
     [[nodiscard]] const std::optional<fault::FaultInjector>& fault_injector()
         const noexcept {
@@ -194,7 +191,7 @@ private:
     obs::SchedCounters counters_;
 
     std::optional<fault::FaultInjector> injector_;
-    std::vector<bool> port_up_;  // refreshed at the top of every step
+    util::BitVec down_ports_;  // crashed ports, refreshed every step
 
     std::optional<fabric::ClosNetwork> clos_;
     std::uint64_t fabric_blocked_ = 0;

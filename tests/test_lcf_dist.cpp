@@ -120,11 +120,11 @@ TEST(LcfDist, SecondIterationAugmentsTheMatching) {
 
 TEST(LcfDist, IterateExtendsAPartialMatching) {
     const RequestMatrix r = make_requests(4, {{0, 0}, {0, 1}, {1, 0}});
-    LcfDistScheduler sched;
+    LcfDistScheduler sched(LcfDistOptions{.iterations = 4, .round_robin = true});
     sched.reset(4, 4);
-    Matching m(4);
-    m.match(0, 0);  // pre-matched pair: iterations must respect it
-    sched.iterate(r, 4, m);
+    sched.set_rr_position(0, 0);  // pre-matched: iterations must respect it
+    Matching m;
+    sched.schedule(r, m);
     EXPECT_EQ(m.output_of(0), 0);
     EXPECT_EQ(m.size(), 1u);  // I1's only choice T0 is taken
 }

@@ -28,20 +28,24 @@ RequestMatrix random_rect(util::Xoshiro256& rng, std::size_t inputs,
 
 TEST(Rectangular, SchedulersStayValidOnWideAndTallMatrices) {
     // Concentrators (more inputs than outputs) and expanders (fewer),
-    // plus a switch that grows after reset(): schedule() must size its
-    // own state from the request matrix, never from the last reset().
+    // plus a switch that grows and one that shrinks after a few cycles
+    // at the reset() geometry: schedule() must size its own state from
+    // the request matrix, never from the last reset() or earlier calls.
     struct Case {
         std::size_t reset_in, reset_out, n_in, n_out;
     };
     util::Xoshiro256 rng(404);
     for (const auto& [reset_in, reset_out, n_in, n_out] :
          {Case{8, 3, 8, 3}, Case{3, 8, 3, 8}, Case{16, 4, 16, 4},
-          Case{2, 12, 2, 12}, Case{4, 4, 8, 8}}) {
+          Case{2, 12, 2, 12}, Case{4, 4, 8, 8}, Case{8, 8, 4, 4}}) {
         for (const auto& name : core::scheduler_names()) {
             auto s = core::make_scheduler(
                 name, sched::SchedulerConfig{.iterations = 8, .seed = 5});
             s->reset(reset_in, reset_out);
             Matching m;
+            for (int warm = 0; warm < 7; ++warm) {
+                s->schedule(random_rect(rng, reset_in, reset_out, 0.4), m);
+            }
             for (int trial = 0; trial < 100; ++trial) {
                 const auto r = random_rect(rng, n_in, n_out, 0.4);
                 s->schedule(r, m);

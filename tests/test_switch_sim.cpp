@@ -99,21 +99,60 @@ TEST(SwitchSim, OutputBufferedModeNeedsNoScheduler) {
 }
 
 TEST(SwitchSim, PacketConservation) {
-    SimConfig c;
-    c.ports = 8;
-    c.slots = 5000;
-    c.warmup_slots = 0;
-    SwitchSim sim(c, islip(),
-                  std::make_unique<traffic::BernoulliUniform>(0.7));
-    sim.run();
-    // generated = delivered + dropped + still-buffered.
-    std::size_t buffered = 0;
-    for (std::size_t i = 0; i < c.ports; ++i) {
-        buffered += sim.voq(i).total_buffered();
-        buffered += sim.input_queue(i).size();
+    // generated = delivered + dropped + queued (PQ + VOQ + output
+    // buffers) after every slot, in every mode, with and without a
+    // blocking Clos fabric and a crash plus a stall; queues are small
+    // so the drop paths run too.
+    struct Case {
+        SwitchMode mode;
+        std::size_t speedup;
+    };
+    for (const auto& [mode, speedup] :
+         {Case{SwitchMode::kVoq, 1}, Case{SwitchMode::kVoq, 2},
+          Case{SwitchMode::kFifo, 1}, Case{SwitchMode::kOutputBuffered, 1}}) {
+        for (const std::size_t clos_middle : {0U, 2U}) {
+            for (const bool faults : {false, true}) {
+                SimConfig c;
+                c.ports = 8;
+                c.slots = 3000;
+                c.warmup_slots = 0;
+                c.mode = mode;
+                c.speedup = speedup;
+                c.clos_middle = clos_middle;
+                c.pq_capacity = c.fifo_capacity = c.outbuf_capacity = 4;
+                c.voq_capacity = 2;
+                c.paranoid = true;
+                if (faults) {
+                    c.fault_plan.add_host_crash(2, 500, 1500);
+                    c.fault_plan.add_scheduler_stall(800, 900);
+                }
+                SwitchSim sim(c, core::make_scheduler("lcf_central_rr"),
+                              std::make_unique<traffic::BernoulliUniform>(0.9));
+                const bool outbufs =
+                    mode == SwitchMode::kOutputBuffered || speedup > 1;
+                while (sim.current_slot() < c.slots) {
+                    sim.step();
+                    std::size_t queued = 0;
+                    for (std::size_t p = 0; p < c.ports; ++p) {
+                        if (mode == SwitchMode::kVoq) {
+                            queued += sim.voq(p).total_buffered();
+                        }
+                        if (mode != SwitchMode::kOutputBuffered) {
+                            queued += sim.input_queue(p).size();
+                        }
+                        if (outbufs) queued += sim.output_buffer(p).size();
+                    }
+                    const auto& m = sim.metrics();
+                    ASSERT_EQ(m.generated(),
+                              m.delivered() + m.dropped() + queued)
+                        << static_cast<int>(mode) << " s=" << speedup
+                        << " clos=" << clos_middle << " faults=" << faults
+                        << " slot " << sim.current_slot();
+                }
+                EXPECT_GT(sim.metrics().dropped(), 0u);
+            }
+        }
     }
-    const auto& m = sim.metrics();
-    EXPECT_EQ(m.generated(), m.delivered() + m.dropped() + buffered);
 }
 
 TEST(SwitchSim, DropsWhenPacketQueueOverflows) {
