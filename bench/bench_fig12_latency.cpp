@@ -213,10 +213,10 @@ int run(int argc, const char* const* argv) {
                       << "\n";
             return 1;
         }
-        sim.trace()->export_csv(out);
+        sim.observer().trace()->export_csv(out);
         std::cout << "Per-cycle trace of lcf_central_rr at load "
                   << AsciiTable::num(loads.back(), 2) << " written to "
-                  << trace_path << " (" << sim.trace()->size()
+                  << trace_path << " (" << sim.observer().trace()->size()
                   << " cycles)\n";
     }
     return 0;

@@ -97,8 +97,8 @@ int main(int argc, char** argv) {
                       << "\n";
             return 1;
         }
-        sim.trace()->export_jsonl(out);
-        std::cout << "\nPer-cycle trace (" << sim.trace()->size()
+        sim.observer().trace()->export_jsonl(out);
+        std::cout << "\nPer-cycle trace (" << sim.observer().trace()->size()
                   << " cycles) written to " << trace_path << "\n";
     }
     std::cout << "\nThe LCF scheduler tracks the output-buffered ideal far "

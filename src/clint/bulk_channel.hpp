@@ -34,8 +34,9 @@
 #include "core/lcf_central.hpp"
 #include "core/precalc.hpp"
 #include "fault/fault_injector.hpp"
-#include "obs/paranoid_checker.hpp"
+#include "obs/sched_observer.hpp"
 #include "sched/request_matrix.hpp"
+#include "sim/metrics.hpp"
 #include "sim/voq.hpp"
 #include "traffic/traffic.hpp"
 #include "util/histogram.hpp"
@@ -76,24 +77,8 @@ struct BulkChannelConfig {
     bool paranoid = false;
 };
 
-/// Exact conservation snapshot of a bulk-channel run. Every generated
-/// packet is in exactly one term on the right-hand side of
-///   generated = delivered_unique + queued + in_flight
-///             + dropped + abandoned
-/// at every slot boundary; balanced() checks the identity.
-struct BulkAccounting {
-    std::uint64_t generated = 0;
-    std::uint64_t delivered_unique = 0;
-    std::uint64_t queued = 0;     ///< undelivered, in VOQs or retransmit queues
-    std::uint64_t in_flight = 0;  ///< undelivered, awaiting acknowledgment
-    std::uint64_t dropped = 0;    ///< VOQ overflow + destroyed by host crashes
-    std::uint64_t abandoned = 0;  ///< gave up after max_retries, undelivered
-
-    [[nodiscard]] bool balanced() const noexcept {
-        return generated ==
-               delivered_unique + queued + in_flight + dropped + abandoned;
-    }
-};
+/// Former name of the shared conservation snapshot.
+using BulkAccounting = sim::Accounting;
 
 /// Measurements of one bulk-channel run.
 struct BulkChannelResult {
@@ -167,11 +152,15 @@ public:
     /// multicasts. Supports conservation checks in the test suite.
     [[nodiscard]] std::size_t buffered_total() const noexcept;
 
-    /// Conservation snapshot as of the last slot boundary.
-    [[nodiscard]] BulkAccounting accounting() const noexcept;
+    /// Conservation snapshot as of the last slot boundary: queued is
+    /// the VOQs and retransmit queues, in_flight the unacknowledged
+    /// transfers, dropped VOQ overflow plus crash losses.
+    [[nodiscard]] sim::Accounting accounting() const noexcept;
 
     /// True while `host` is inside a fault-plan crash interval.
-    [[nodiscard]] bool host_up(std::size_t host) const noexcept;
+    [[nodiscard]] bool host_up(std::size_t host) const noexcept {
+        return !fault::host_down(injector_, host);
+    }
 
     /// Fault injector (engaged iff the config's plan is non-empty).
     [[nodiscard]] const std::optional<fault::FaultInjector>& fault_injector()
@@ -189,10 +178,9 @@ public:
         return p_ack_corrupt_;
     }
 
-    /// Invariant checker (engaged iff config.paranoid).
-    [[nodiscard]] const std::optional<obs::ParanoidChecker>& checker()
-        const noexcept {
-        return checker_;
+    /// Scheduler observation (its checker is engaged iff config.paranoid).
+    [[nodiscard]] const obs::SchedObserver& observer() const noexcept {
+        return observer_;
     }
 
     /// Acknowledgment packets emitted during the most recent step(), as
@@ -242,7 +230,6 @@ private:
     [[nodiscard]] std::uint64_t retry_window(std::uint32_t retries)
         const noexcept;
     [[nodiscard]] std::uint16_t request_mask(const Host& h) const;
-    void apply_host_faults();
     void crash_host(std::size_t host);
     void step_arrivals();
     void step_timeouts();
@@ -279,13 +266,11 @@ private:
     std::vector<std::optional<ConfigPacket>> decoded_cfgs_;
 
     std::optional<fault::FaultInjector> injector_;
-    std::vector<bool> host_up_;  // as of the last apply_host_faults()
     // Per-slot arrival destinations (one batched traffic_->arrivals()
     // call per slot instead of hosts virtual calls).
     std::vector<std::int32_t> arrival_buf_;
 
-    std::optional<obs::ParanoidChecker> checker_;
-    obs::SchedCounters counters_;
+    obs::SchedObserver observer_;
 
     std::uint64_t slot_ = 0;
     std::uint64_t next_packet_id_ = 0;

@@ -1,6 +1,5 @@
 #include "clint/quick_channel.hpp"
 
-#include <cmath>
 #include <stdexcept>
 
 namespace lcf::clint {
@@ -25,17 +24,14 @@ QuickChannelSim::QuickChannelSim(
     }
     target_priority_.assign(config_.hosts, 0);
     last_delivered_id_.assign(config_.hosts, kNoneDelivered);
-    host_up_.assign(config_.hosts, true);
     if (!config_.fault_plan.empty()) {
         injector_.emplace(config_.fault_plan);
         injector_->reset(config_.hosts);
     }
-    p_data_corrupt_ =
-        1.0 - std::pow(1.0 - config_.bit_error_rate,
-                       static_cast<double>(config_.payload_bits));
-    p_ack_corrupt_ =
-        1.0 - std::pow(1.0 - config_.bit_error_rate,
-                       static_cast<double>(config_.ack_bits));
+    p_data_corrupt_ = fault::corruption_probability(config_.bit_error_rate,
+                                                    config_.payload_bits);
+    p_ack_corrupt_ = fault::corruption_probability(config_.bit_error_rate,
+                                                   config_.ack_bits);
 }
 
 void QuickChannelSim::crash_host(std::size_t host) {
@@ -55,18 +51,12 @@ void QuickChannelSim::crash_host(std::size_t host) {
     h.sending_control = false;
 }
 
-void QuickChannelSim::apply_host_faults() {
-    for (std::size_t h = 0; h < config_.hosts; ++h) {
-        const bool up = injector_->host_up(h, slot_);
-        if (host_up_[h] && !up) crash_host(h);
-        host_up_[h] = up;
-    }
-}
-
 void QuickChannelSim::step() {
     if (injector_) {
         injector_->begin_slot(slot_);
-        apply_host_faults();
+        for (const std::size_t h : injector_->crashed().set_bits()) {
+            crash_host(h);
+        }
     }
 
     // Arrivals into the send queues (one batched generator call).
@@ -77,7 +67,7 @@ void QuickChannelSim::step() {
         ++stats_.generated;
         const sim::Packet p{next_packet_id_++, static_cast<std::uint32_t>(h),
                             static_cast<std::uint32_t>(dst), slot_};
-        if (!host_up_[h]) {
+        if (fault::host_down(injector_, h)) {
             ++stats_.crash_lost;  // offered to a dead protocol stack
             continue;
         }
@@ -93,7 +83,7 @@ void QuickChannelSim::step() {
     for (std::size_t h = 0; h < config_.hosts; ++h) {
         Host& host = hosts_[h];
         host.sending_control = false;
-        if (!host_up_[h]) continue;  // a crashed host transmits nothing
+        if (fault::host_down(injector_, h)) continue;  // transmits nothing
         if (!host.control.empty()) {
             host.sending_control = true;
             host.control_target = host.control.front();
@@ -173,30 +163,21 @@ void QuickChannelSim::step() {
         if (host.sending_control) {
             // Fire-and-forget ack: delivered unless a fault eats it.
             if (injector_ &&
-                (!host_up_[j] ||
+                (fault::host_down(injector_, j) ||
                  injector_->packet_lost(fault::LinkKind::kData, src, slot_))) {
                 ++control_lost_;
             }
             continue;
         }
         Outstanding& o = *host.inflight;
-        double p_data = p_data_corrupt_;
-        if (injector_) {
-            const double extra =
-                injector_->extra_ber(fault::LinkKind::kData, src, slot_);
-            if (extra > 0.0) {
-                p_data = 1.0 - (1.0 - p_data_corrupt_) *
-                                   std::pow(1.0 - extra,
-                                            static_cast<double>(
-                                                config_.payload_bits));
-            }
-        }
-        if (rng_.next_bool(p_data)) {
+        if (rng_.next_bool(fault::corruption_probability(
+                injector_, p_data_corrupt_, fault::LinkKind::kData, src, slot_,
+                config_.payload_bits))) {
             ++stats_.corruptions;  // lost in flight; timeout will retry
             continue;
         }
         if (injector_ &&
-            (!host_up_[j] ||
+            (fault::host_down(injector_, j) ||
              injector_->packet_lost(fault::LinkKind::kData, src, slot_))) {
             ++stats_.fault_losses;  // absorbed in flight; timeout will retry
             continue;
@@ -216,17 +197,9 @@ void QuickChannelSim::step() {
         } else {
             ++stats_.duplicate_deliveries;
         }
-        double p_ack = p_ack_corrupt_;
-        if (injector_) {
-            const double extra =
-                injector_->extra_ber(fault::LinkKind::kAck, j, slot_);
-            if (extra > 0.0) {
-                p_ack = 1.0 - (1.0 - p_ack_corrupt_) *
-                                  std::pow(1.0 - extra,
-                                           static_cast<double>(config_.ack_bits));
-            }
-        }
-        if (rng_.next_bool(p_ack)) {
+        if (rng_.next_bool(fault::corruption_probability(
+                injector_, p_ack_corrupt_, fault::LinkKind::kAck, j, slot_,
+                config_.ack_bits))) {
             ++stats_.corruptions;  // ack lost; sender will retransmit
             continue;
         }
@@ -254,8 +227,8 @@ void QuickChannelSim::inject_control(std::size_t host, std::size_t target) {
     hosts_[host].control.push_back(target);
 }
 
-QuickAccounting QuickChannelSim::accounting() const noexcept {
-    QuickAccounting a;
+sim::Accounting QuickChannelSim::accounting() const noexcept {
+    sim::Accounting a;
     a.generated = stats_.generated;
     a.delivered_unique = stats_.delivered_unique;
     a.dropped = stats_.dropped_queue + stats_.crash_lost;

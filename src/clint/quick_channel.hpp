@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "fault/fault_injector.hpp"
+#include "sim/metrics.hpp"
 #include "sim/packet_queue.hpp"
 #include "traffic/traffic.hpp"
 #include "util/rng.hpp"
@@ -44,23 +45,8 @@ struct QuickChannelConfig {
     fault::FaultPlan fault_plan;
 };
 
-/// Exact conservation snapshot of a quick-channel run:
-///   generated = delivered_unique + queued + in_flight
-///             + dropped + abandoned
-/// at every slot boundary (dropped = queue overflow + crash losses).
-struct QuickAccounting {
-    std::uint64_t generated = 0;
-    std::uint64_t delivered_unique = 0;
-    std::uint64_t queued = 0;     ///< undelivered, in send queues
-    std::uint64_t in_flight = 0;  ///< undelivered, in stop-and-wait windows
-    std::uint64_t dropped = 0;    ///< queue overflow + destroyed by crashes
-    std::uint64_t abandoned = 0;  ///< gave up after max_retries, undelivered
-
-    [[nodiscard]] bool balanced() const noexcept {
-        return generated ==
-               delivered_unique + queued + in_flight + dropped + abandoned;
-    }
-};
+/// Former name of the shared conservation snapshot.
+using QuickAccounting = sim::Accounting;
 
 /// Measurements of one quick-channel run.
 struct QuickChannelResult {
@@ -97,8 +83,10 @@ public:
     [[nodiscard]] std::uint64_t current_slot() const noexcept { return slot_; }
     [[nodiscard]] QuickChannelResult result() const;
 
-    /// Conservation snapshot as of the last slot boundary.
-    [[nodiscard]] QuickAccounting accounting() const noexcept;
+    /// Conservation snapshot as of the last slot boundary: queued is
+    /// the send queues, in_flight the stop-and-wait windows, dropped
+    /// queue overflow plus crash losses.
+    [[nodiscard]] sim::Accounting accounting() const noexcept;
 
     /// Baseline per-packet corruption probabilities implied by the
     /// configured bit-error rate: 1-(1-ber)^payload_bits and
@@ -152,7 +140,6 @@ private:
         std::size_t control_target = 0;
     };
 
-    void apply_host_faults();
     void crash_host(std::size_t host);
 
     QuickChannelConfig config_;
@@ -173,7 +160,6 @@ private:
     util::RunningStat delay_;
 
     std::optional<fault::FaultInjector> injector_;
-    std::vector<bool> host_up_;  // as of the last apply_host_faults()
     // Per-slot arrival destinations (one batched traffic_->arrivals()
     // call per slot instead of hosts virtual calls).
     std::vector<std::int32_t> arrival_buf_;

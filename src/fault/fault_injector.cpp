@@ -1,6 +1,9 @@
 #include "fault/fault_injector.hpp"
 
 #include <cassert>
+#include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "util/bitflip.hpp"
 
@@ -11,6 +14,37 @@ namespace {
 constexpr bool in_interval(std::uint64_t slot, std::uint64_t begin,
                            std::uint64_t end) noexcept {
     return slot >= begin && slot < end;
+}
+
+[[noreturn]] void out_of_range(const std::string& field,
+                               const std::string& value, std::size_t hosts) {
+    throw std::invalid_argument(field + " " + value + " out of range for " +
+                                std::to_string(hosts) + " hosts");
+}
+
+template <class Entries>
+void check_links(const Entries& entries, std::size_t hosts, const char* what) {
+    for (const auto& e : entries) {
+        const std::int32_t i = e.link.index;
+        if (i != kAllLinks && (i < 0 || static_cast<std::size_t>(i) >= hosts)) {
+            out_of_range(std::string(what) + ".link.index", std::to_string(i),
+                         hosts);
+        }
+    }
+}
+
+/// 1 - prod(1 - p(e)) over the epochs active on (kind, index) at `slot`:
+/// independent fault sources composed.
+template <class Epochs, class Probability>
+double compose(const Epochs& epochs, LinkKind kind, std::size_t index,
+               std::uint64_t slot, Probability p) noexcept {
+    double keep = 1.0;
+    for (const auto& e : epochs) {
+        if (e.link.matches(kind, index) && in_interval(slot, e.begin, e.end)) {
+            keep *= 1.0 - p(e);
+        }
+    }
+    return 1.0 - keep;
 }
 
 }  // namespace
@@ -30,6 +64,14 @@ FaultInjector::FaultInjector(FaultPlan plan) : plan_(std::move(plan)) {
 }
 
 void FaultInjector::reset(std::size_t hosts) {
+    for (const auto& c : plan_.host_crashes) {
+        if (c.host >= hosts) {
+            out_of_range("host_crash.host", std::to_string(c.host), hosts);
+        }
+    }
+    check_links(plan_.bit_error_epochs, hosts, "bit_error_epoch");
+    check_links(plan_.packet_loss_epochs, hosts, "packet_loss_epoch");
+    check_links(plan_.link_down_intervals, hosts, "link_down_interval");
     hosts_ = hosts;
     rngs_.clear();
     rngs_.reserve(kLinkKinds * hosts);
@@ -39,6 +81,8 @@ void FaultInjector::reset(std::size_t hosts) {
                 util::derive_seed(plan_.seed, kind * 4096 + index));
         }
     }
+    down_ = util::BitVec(hosts);
+    crashed_ = util::BitVec(hosts);
     counters_ = FaultCounters{};
 }
 
@@ -49,23 +93,16 @@ util::Xoshiro256& FaultInjector::rng_for(LinkKind kind,
 }
 
 void FaultInjector::begin_slot(std::uint64_t slot) {
+    // crashed_ holds the previous down set while the new one is built.
+    std::swap(down_, crashed_);
+    down_.clear();
     for (const auto& c : plan_.host_crashes) {
-        if (c.crash_slot == slot) ++counters_.crashes;
-        if (c.restart_slot == slot && c.restart_slot != kForever) {
-            ++counters_.restarts;
-        }
+        if (in_interval(slot, c.crash_slot, c.restart_slot)) down_.set(c.host);
     }
+    counters_.restarts += crashed_.count() - crashed_.and_count(down_);
+    crashed_.assign_subtract(down_, crashed_);
+    counters_.crashes += crashed_.count();
     if (scheduler_stalled(slot)) ++counters_.stalled_slots;
-}
-
-bool FaultInjector::host_up(std::size_t host,
-                            std::uint64_t slot) const noexcept {
-    for (const auto& c : plan_.host_crashes) {
-        if (c.host == host && in_interval(slot, c.crash_slot, c.restart_slot)) {
-            return false;
-        }
-    }
-    return true;
 }
 
 bool FaultInjector::link_up(LinkKind kind, std::size_t index,
@@ -87,50 +124,17 @@ bool FaultInjector::scheduler_stalled(std::uint64_t slot) const noexcept {
 
 double FaultInjector::extra_ber(LinkKind kind, std::size_t index,
                                 std::uint64_t slot) const noexcept {
-    double keep = 1.0;
-    for (const auto& e : plan_.bit_error_epochs) {
-        if (e.link.matches(kind, index) && in_interval(slot, e.begin, e.end)) {
-            keep *= 1.0 - e.bit_error_rate;
-        }
-    }
-    return 1.0 - keep;
-}
-
-double FaultInjector::loss_probability(LinkKind kind, std::size_t index,
-                                       std::uint64_t slot) const noexcept {
-    double keep = 1.0;
-    for (const auto& e : plan_.packet_loss_epochs) {
-        if (e.link.matches(kind, index) && in_interval(slot, e.begin, e.end)) {
-            keep *= 1.0 - e.loss;
-        }
-    }
-    return 1.0 - keep;
-}
-
-double FaultInjector::truncation_probability(
-    LinkKind kind, std::size_t index, std::uint64_t slot) const noexcept {
-    double keep = 1.0;
-    for (const auto& e : plan_.packet_loss_epochs) {
-        if (e.link.matches(kind, index) && in_interval(slot, e.begin, e.end)) {
-            keep *= 1.0 - e.truncation;
-        }
-    }
-    return 1.0 - keep;
+    return compose(plan_.bit_error_epochs, kind, index, slot,
+                   [](const BitErrorEpoch& e) { return e.bit_error_rate; });
 }
 
 bool FaultInjector::transmit(LinkKind kind, std::size_t index,
                              std::uint64_t slot,
                              std::vector<std::uint8_t>& wire) {
-    if (!link_up(kind, index, slot)) {
-        ++counters_.packets_dropped;
-        return false;
-    }
-    const double p_loss = loss_probability(kind, index, slot);
-    if (p_loss > 0.0 && rng_for(kind, index).next_bool(p_loss)) {
-        ++counters_.packets_dropped;
-        return false;
-    }
-    const double p_trunc = truncation_probability(kind, index, slot);
+    if (packet_lost(kind, index, slot)) return false;
+    const double p_trunc =
+        compose(plan_.packet_loss_epochs, kind, index, slot,
+                [](const PacketLossEpoch& e) { return e.truncation; });
     if (p_trunc > 0.0 && !wire.empty() &&
         rng_for(kind, index).next_bool(p_trunc)) {
         // Cut to a strictly shorter length, possibly zero bytes.
@@ -156,12 +160,28 @@ bool FaultInjector::packet_lost(LinkKind kind, std::size_t index,
         ++counters_.packets_dropped;
         return true;
     }
-    const double p_loss = loss_probability(kind, index, slot);
+    const double p_loss =
+        compose(plan_.packet_loss_epochs, kind, index, slot,
+                [](const PacketLossEpoch& e) { return e.loss; });
     if (p_loss > 0.0 && rng_for(kind, index).next_bool(p_loss)) {
         ++counters_.packets_dropped;
         return true;
     }
     return false;
+}
+
+double corruption_probability(double ber, std::size_t bits) noexcept {
+    return 1.0 - std::pow(1.0 - ber, static_cast<double>(bits));
+}
+
+double corruption_probability(const std::optional<FaultInjector>& injector,
+                              double base, LinkKind kind, std::size_t index,
+                              std::uint64_t slot, std::size_t bits) noexcept {
+    if (!injector) return base;
+    const double extra = injector->extra_ber(kind, index, slot);
+    if (extra <= 0.0) return base;
+    return 1.0 - (1.0 - base) *
+                     std::pow(1.0 - extra, static_cast<double>(bits));
 }
 
 }  // namespace lcf::fault

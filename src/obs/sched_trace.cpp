@@ -59,7 +59,6 @@ void SchedTrace::reset(std::size_t inputs, std::size_t outputs) {
     ring_.resize(capacity_);
     grant_counts_.assign(inputs * outputs, 0);
     ages_.reset(inputs, outputs);
-    counters_ = SchedCounters{};
 }
 
 void SchedTrace::record(std::uint64_t cycle,
@@ -68,10 +67,7 @@ void SchedTrace::record(std::uint64_t cycle,
     assert(requests.inputs() == inputs_ && requests.outputs() == outputs_);
     const std::uint64_t request_bits = requests.total();
     const std::uint64_t granted = matching.size();
-    counters_.observe_cycle(request_bits, granted);
     const std::uint64_t worst = ages_.observe(requests, matching);
-    counters_.max_starvation_age =
-        std::max(counters_.max_starvation_age, worst);
 
     TraceRecord& rec = ring_[recorded_ % capacity_];
     rec.cycle = cycle;

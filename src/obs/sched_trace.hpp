@@ -15,7 +15,6 @@
 #include <ostream>
 #include <vector>
 
-#include "obs/counters.hpp"
 #include "sched/matching.hpp"
 #include "sched/request_matrix.hpp"
 
@@ -98,9 +97,6 @@ public:
         return grant_counts_[input * outputs_ + output];
     }
     [[nodiscard]] const StarvationAges& ages() const noexcept { return ages_; }
-    [[nodiscard]] const SchedCounters& counters() const noexcept {
-        return counters_;
-    }
     [[nodiscard]] std::size_t inputs() const noexcept { return inputs_; }
     [[nodiscard]] std::size_t outputs() const noexcept { return outputs_; }
 
@@ -119,7 +115,6 @@ private:
     std::vector<TraceRecord> ring_;
     std::vector<std::uint64_t> grant_counts_;  // row-major inputs × outputs
     StarvationAges ages_;
-    SchedCounters counters_;
 };
 
 }  // namespace lcf::obs

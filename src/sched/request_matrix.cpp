@@ -12,6 +12,18 @@ void RequestMatrix::clear() noexcept {
     }
 }
 
+void RequestMatrix::mask_down_ports(const util::BitVec& down) noexcept {
+    if (down.none()) return;
+    cols_valid_ = false;
+    for (std::size_t i = 0; i < rows_.size(); ++i) {
+        if (down.test(i)) {
+            rows_[i].clear();
+        } else {
+            rows_[i].subtract(down);
+        }
+    }
+}
+
 void RequestMatrix::rebuild_columns() const {
     const std::size_t n_in = rows_.size();
     if (cols_.size() != outputs_ ||

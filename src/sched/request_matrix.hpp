@@ -44,6 +44,11 @@ public:
     }
     /// Clear every bit.
     void clear() noexcept;
+    /// Degraded-mode masking for a square matrix: ports set in `down`
+    /// vanish as initiators (their rows are cleared) and as targets (one
+    /// and-not of `down` per surviving row), so a scheduler never wastes
+    /// a grant on a connection nobody can terminate.
+    void mask_down_ports(const util::BitVec& down) noexcept;
 
     /// Row `input` as a bit vector over outputs.
     [[nodiscard]] const util::BitVec& row(std::size_t input) const noexcept {

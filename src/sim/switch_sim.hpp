@@ -21,14 +21,12 @@
 
 #include "fabric/clos.hpp"
 #include "fault/fault_injector.hpp"
-#include "obs/paranoid_checker.hpp"
-#include "obs/sched_trace.hpp"
+#include "obs/sched_observer.hpp"
 #include "sched/scheduler.hpp"
 #include "sim/metrics.hpp"
 #include "sim/packet_queue.hpp"
 #include "sim/voq.hpp"
 #include "traffic/traffic.hpp"
-#include "util/bitvec.hpp"
 
 namespace lcf::sim {
 
@@ -78,7 +76,8 @@ struct SimConfig {
     /// step(). Checks are configured from the scheduler's name: the
     /// rotating-diagonal variants additionally get the §3 fairness check
     /// (granted within n² cycles under a continuously asserted request),
-    /// iterative matchers their iteration-budget check.
+    /// iterative matchers their iteration-budget check. step() also
+    /// throws std::logic_error when accounting() stops balancing.
     bool paranoid = false;
     /// When > 0, keep an obs::SchedTrace ring of the most recent
     /// `trace_capacity` scheduling cycles, accessible via
@@ -115,6 +114,10 @@ public:
     [[nodiscard]] std::uint64_t current_slot() const noexcept { return slot_; }
     /// Summary of everything measured so far.
     [[nodiscard]] SimResult result() const;
+    /// Conservation snapshot as of the last slot boundary: queued is
+    /// the packet queues (or FIFOs), VOQs and output buffers; in_flight
+    /// and abandoned are always 0.
+    [[nodiscard]] Accounting accounting() const noexcept;
 
     [[nodiscard]] const SimConfig& config() const noexcept { return config_; }
     [[nodiscard]] const MetricsCollector& metrics() const noexcept {
@@ -136,13 +139,11 @@ public:
     [[nodiscard]] const sched::Matching& last_matching() const noexcept {
         return matching_;
     }
-    /// Per-cycle trace ring (engaged iff config.trace_capacity > 0).
-    [[nodiscard]] const std::optional<obs::SchedTrace>& trace() const noexcept {
-        return trace_;
-    }
-    /// Invariant checker (engaged iff config.paranoid).
-    [[nodiscard]] const std::optional<obs::ParanoidChecker>& checker() const noexcept {
-        return checker_;
+    /// Scheduler observation: counters, the per-cycle trace ring
+    /// (engaged iff config.trace_capacity > 0) and the invariant checker
+    /// (engaged iff config.paranoid).
+    [[nodiscard]] const obs::SchedObserver& observer() const noexcept {
+        return observer_;
     }
     /// Fault injector (engaged iff the config's plan is non-empty).
     [[nodiscard]] const std::optional<fault::FaultInjector>& fault_injector()
@@ -152,18 +153,17 @@ public:
 
 private:
     void step_arrivals();
-    /// Clear request rows/columns of crashed ports (injector engaged).
-    void mask_down_ports();
     void step_voq_mode();
     void step_fifo_mode();
-    void step_outbuf_mode();
     void deliver(const Packet& p);
     /// Route matching_ through the Clos fabric (if configured),
     /// unmatching any connection the fabric cannot carry.
     void apply_fabric();
-    /// Feed the scheduler's raw matching (before the fabric may drop
-    /// connections) to the counters, trace, and paranoid checker.
-    void observe_schedule();
+    /// Count and apply a fault-plan scheduler stall; true when stalled.
+    bool stalled();
+    /// Mask crashed ports, schedule, and observe the scheduler's own
+    /// matching (before the fabric drops any). Returns the requests.
+    std::size_t schedule();
 
     SimConfig config_;
     std::unique_ptr<sched::Scheduler> scheduler_;
@@ -186,17 +186,13 @@ private:
     std::vector<std::uint32_t> queue_lengths_;
     bool track_queue_lengths_ = false;
 
-    std::optional<obs::SchedTrace> trace_;
-    std::optional<obs::ParanoidChecker> checker_;
-    obs::SchedCounters counters_;
-
+    obs::SchedObserver observer_;
     std::optional<fault::FaultInjector> injector_;
-    util::BitVec down_ports_;  // crashed ports, refreshed every step
 
     std::optional<fabric::ClosNetwork> clos_;
     std::uint64_t fabric_blocked_ = 0;
     double choices_accum_ = 0.0;     // sum over post-warm-up slots of
-    std::uint64_t choices_slots_ = 0;  // mean non-empty VOQs per input
+    std::uint64_t choices_slots_ = 0;  // mean requests per input
 
     std::uint64_t slot_ = 0;
     std::uint64_t next_packet_id_ = 0;

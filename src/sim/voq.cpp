@@ -9,19 +9,13 @@ bool VoqBank::push(const Packet& p) {
     auto& q = queues_[p.destination];
     const bool was_empty = q.empty();
     const bool accepted = q.push(p);
-    if (accepted && was_empty) {
-        occupancy_.set(p.destination);
-        ++nonempty_;
-    }
+    if (accepted && was_empty) occupancy_.set(p.destination);
     return accepted;
 }
 
 Packet VoqBank::pop(std::size_t output) noexcept {
     Packet p = queues_[output].pop();
-    if (queues_[output].empty()) {
-        occupancy_.reset(output);
-        --nonempty_;
-    }
+    if (queues_[output].empty()) occupancy_.reset(output);
     return p;
 }
 

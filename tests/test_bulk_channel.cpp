@@ -284,7 +284,7 @@ TEST(BulkChannel, CountersCollectedWithoutParanoid) {
     const auto r = sim.run();
     EXPECT_EQ(r.sched.cycles, small_config().slots);
     EXPECT_GT(r.sched.grants, 0u);
-    EXPECT_FALSE(sim.checker().has_value());
+    EXPECT_FALSE(sim.observer().checker().has_value());
 }
 
 TEST(BulkChannel, RejectsBadConfiguration) {

@@ -10,6 +10,7 @@
 
 #include "obs/counters.hpp"
 #include "obs/paranoid_checker.hpp"
+#include "obs/sched_observer.hpp"
 #include "obs/sched_trace.hpp"
 #include "sched/matching.hpp"
 #include "sched/request_matrix.hpp"
@@ -127,8 +128,6 @@ TEST(SchedTrace, RingKeepsMostRecentCycles) {
     EXPECT_EQ(trace.at(2).cycle, 9u);
     // Cumulative counters cover the whole run, not just the window.
     EXPECT_EQ(trace.grants_at(0, 0), 10u);
-    EXPECT_EQ(trace.counters().cycles, 10u);
-    EXPECT_EQ(trace.counters().grants, 10u);
 }
 
 TEST(SchedTrace, RecordsRequestAndGrantShape) {
@@ -186,7 +185,7 @@ TEST(SchedTrace, ResetForgetsEverything) {
     trace.reset(3, 3);
     EXPECT_EQ(trace.size(), 0u);
     EXPECT_EQ(trace.recorded(), 0u);
-    EXPECT_EQ(trace.counters().cycles, 0u);
+    EXPECT_EQ(trace.ages().high_watermark(), 0u);
     EXPECT_EQ(trace.inputs(), 3u);
 }
 
@@ -310,6 +309,49 @@ TEST(ParanoidChecker, RectangularGeometryIsSupported) {
     m.match(0, 3);
     m.match(1, 0);
     EXPECT_EQ(checker.check_cycle(r, m), 0u);
+}
+
+// ---------------------------------------------------------------- observer
+
+TEST(SchedObserver, OffByDefaultCountsCyclesAndStalls) {
+    SchedObserver obs(4, 4, 0, std::nullopt);
+    EXPECT_FALSE(obs.trace().has_value());
+    EXPECT_FALSE(obs.checker().has_value());
+    const auto r = sched::make_requests(4, {{0, 1}, {0, 2}, {3, 3}});
+    EXPECT_EQ(obs.observe(r, single_match(4, 0, 1), 1), 3u);
+    obs.stall();
+    const SchedCounters c = obs.counters();
+    EXPECT_EQ(c.cycles, 1u);
+    EXPECT_EQ(c.requests, 3u);
+    EXPECT_EQ(c.grants, 1u);
+    EXPECT_EQ(c.stalled_cycles, 1u);
+    EXPECT_EQ(c.max_starvation_age, 0u);  // nobody tracks ages
+}
+
+TEST(SchedObserver, FoldsTraceAndCheckerIntoCounters) {
+    SchedObserver obs(4, 4, 8,
+                      ParanoidOptions{.throw_on_violation = false,
+                                      .iteration_budget = 2});
+    ASSERT_TRUE(obs.trace().has_value());
+    ASSERT_TRUE(obs.checker().has_value());
+    const auto r = sched::make_requests(4, {{0, 0}, {1, 0}});
+    for (std::uint64_t c = 0; c < 5; ++c) {
+        obs.observe(r, single_match(4, 0, 0), 1);  // input 1 starves
+    }
+    obs.observe(r, single_match(4, 2, 3), 3);  // unbacked, over budget
+    const SchedCounters c = obs.counters();
+    EXPECT_EQ(c.cycles, 6u);
+    EXPECT_EQ(obs.trace()->recorded(), 6u);
+    EXPECT_EQ(obs.trace()->at(5).cycle, 5u);
+    EXPECT_EQ(c.max_starvation_age, 6u);
+    EXPECT_EQ(c.paranoid_violations, obs.checker()->violation_count());
+    EXPECT_GE(c.paranoid_violations, 2u);
+}
+
+TEST(SchedObserver, ThrowingCheckerStopsObserve) {
+    SchedObserver obs(4, 4, 0, ParanoidOptions{});
+    const auto r = sched::make_requests(4, {{0, 1}});
+    EXPECT_THROW(obs.observe(r, single_match(4, 0, 2), 1), std::logic_error);
 }
 
 }  // namespace

@@ -61,6 +61,19 @@ TEST(RequestMatrix, RowBitVecMatchesGets) {
     EXPECT_EQ(row.count(), 2u);
 }
 
+TEST(RequestMatrix, MaskDownPortsClearsRowsAndColumns) {
+    auto r = make_requests(4, {{0, 1}, {0, 2}, {1, 0}, {2, 2}, {3, 1}});
+    ASSERT_EQ(r.col_count(1), 2u);  // column view built before masking
+    util::BitVec down(4);
+    r.mask_down_ports(down);  // nothing down: unchanged
+    EXPECT_EQ(r.total(), 5u);
+    down.set(1);
+    r.mask_down_ports(down);
+    EXPECT_EQ(r, make_requests(4, {{0, 2}, {2, 2}}));
+    EXPECT_TRUE(r.col(1).none());
+    EXPECT_EQ(r.col(2).count(), 2u);
+}
+
 TEST(RequestMatrix, Equality) {
     RequestMatrix a(4), b(4);
     EXPECT_EQ(a, b);
