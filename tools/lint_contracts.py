@@ -23,6 +23,11 @@ diagnostics, so CI fails the moment a PR breaks one:
   rng-discipline   no rand()/srand()/std::random_device outside
                    src/util/ — all randomness flows through util::rng's
                    seeded, draw-order-disciplined streams.
+  fault-encapsulation
+                   nothing under src/ outside src/fault/ calls
+                   ->host_up( or ->extra_ber( — simulators read host
+                   liveness from FaultInjector::down_hosts() and
+                   corruption odds from fault::corruption_probability().
   bench-baseline   committed BENCH_*.json baselines were recorded from a
                    Release build.
 
@@ -335,6 +340,36 @@ def check_rng_discipline(root: pathlib.Path) -> list[Finding]:
 
 
 # ---------------------------------------------------------------------------
+# fault-encapsulation
+# ---------------------------------------------------------------------------
+
+_FAULT_BANNED = re.compile(r"->\s*(host_up|extra_ber)\s*\(")
+
+
+def check_fault_encapsulation(root: pathlib.Path) -> list[Finding]:
+    findings: list[Finding] = []
+    base = root / "src"
+    if not base.is_dir():
+        return findings
+    for path in sorted(base.rglob("*")):
+        if path.suffix not in {".cpp", ".hpp", ".h", ".cc"}:
+            continue
+        if (root / "src" / "fault") in path.parents:
+            continue  # fault/ owns liveness and the corruption formula
+        for number, text in enumerate(_read(path).splitlines(), start=1):
+            match = _FAULT_BANNED.search(text.split("//", 1)[0])
+            if match:
+                findings.append(Finding(
+                    path, number, "fault-encapsulation",
+                    f"->{match.group(1)}() outside src/fault/ — read "
+                    "liveness from FaultInjector::down_hosts()/crashed() "
+                    "and corruption odds from "
+                    "fault::corruption_probability()",
+                ))
+    return findings
+
+
+# ---------------------------------------------------------------------------
 # bench-baseline
 # ---------------------------------------------------------------------------
 
@@ -364,6 +399,7 @@ CHECKS: dict[str, Callable[[pathlib.Path], list[Finding]]] = {
     "sched-docs": check_sched_docs,
     "config-surface": check_config_surface,
     "rng-discipline": check_rng_discipline,
+    "fault-encapsulation": check_fault_encapsulation,
     "bench-baseline": check_bench_baseline,
 }
 
@@ -434,6 +470,15 @@ def self_test() -> int:
             "#include <random>\n"
             "int draw() { std::random_device rd; return rand(); }\n"
         )
+        (root / "src/sim/bad_fault.cpp").write_text(
+            "double odds(const Injector& inj) {\n"
+            "    return p * inj->extra_ber(kData, 0, slot);\n"
+            "}\n"
+        )
+        (root / "src/fault").mkdir()
+        (root / "src/fault/injector.cpp").write_text(
+            "bool up = this->host_up(0, 1);\n"
+        )
         (root / "BENCH_debug.json").write_text(
             json.dumps({"build_type": "Debug", "results": []})
         )
@@ -479,6 +524,12 @@ def self_test() -> int:
             "rng-discipline: bad_rng.cpp:2",
             failures,
         )
+        fault = by_rule.get("fault-encapsulation", [])
+        _expect(
+            [(f.path.name, f.line) for f in fault] == [("bad_fault.cpp", 2)],
+            "fault-encapsulation: only bad_fault.cpp:2 (src/fault/ exempt)",
+            failures,
+        )
         _expect(
             any(f.rule == "bench-baseline" for f in findings),
             "bench-baseline: Debug baseline rejected",
@@ -514,6 +565,10 @@ def self_test() -> int:
         )
         (root / "src/sched/bad_rng.cpp").write_text(
             "// rand() only in this comment\nint draw();\n"
+        )
+        (root / "src/sim/bad_fault.cpp").write_text(
+            "// inj->extra_ber( only in this comment\n"
+            "double odds() { return corruption_probability(inj, p); }\n"
         )
         (root / "BENCH_debug.json").write_text(
             json.dumps({"build_type": "Release", "results": []})
