@@ -30,6 +30,7 @@ BulkChannelSim::BulkChannelSim(
     scheduler_.reset(config_.hosts, config_.hosts);
     hosts_.resize(config_.hosts);
     for (std::size_t h = 0; h < config_.hosts; ++h) {
+        // Throws for a zero (or oversized) voq_capacity.
         hosts_[h].voqs = sim::VoqBank(config_.hosts, config_.voq_capacity);
         hosts_[h].committed.assign(config_.hosts, 0);
         uplinks_.emplace_back(config_.bit_error_rate,
@@ -82,7 +83,7 @@ std::uint16_t BulkChannelSim::request_mask(const Host& h) const {
     // queue re-request their target.
     std::uint16_t mask = 0;
     for (std::size_t j = 0; j < config_.hosts; ++j) {
-        if (h.voqs.queue(j).size() > h.committed[j]) {
+        if (h.voqs.size(j) > h.committed[j]) {
             mask = static_cast<std::uint16_t>(mask | (1U << j));
         }
     }
@@ -99,7 +100,7 @@ void BulkChannelSim::crash_host(std::size_t host) {
     // receiver-side trackers keep advancing; copies whose delivery
     // already landed (only the ack was pending) just disappear.
     for (std::size_t j = 0; j < config_.hosts; ++j) {
-        while (!h.voqs.queue(j).empty()) {
+        while (!h.voqs.empty(j)) {
             const sim::Packet p = h.voqs.pop(j);
             ++stats_.crash_lost;
             seq_.skip(flow_of(p), p.flow_seq);
@@ -248,7 +249,7 @@ void BulkChannelSim::step_transfers() {
             delivered_before = rit->delivered;
             h.retransmit.erase(rit);
         } else {
-            assert(!h.voqs.queue(target).empty());
+            assert(!h.voqs.empty(target));
             packet = h.voqs.pop(target);
         }
 

@@ -1,7 +1,8 @@
 #pragma once
 // Bounded FIFO of packets, backed by a ring buffer. Used for the packet
-// queues (PQ), the virtual output queues (VOQ), and the output buffers of
-// the output-buffered switch model.
+// queues (PQ), the FIFO-mode input queues, the output buffers (output-
+// buffered model and speedup), and the Clint quick channel's host queues.
+// The virtual output queues live in sim::VoqBank's shared node pool.
 
 #include <cassert>
 #include <cstddef>
@@ -14,11 +15,11 @@ namespace lcf::sim {
 /// Bounded FIFO with O(1) push/pop.
 ///
 /// Storage grows geometrically up to the configured capacity instead of
-/// being allocated eagerly: a VOQ bank holds ports² of these queues and
-/// most stay near-empty in any stable simulation, so eager allocation
-/// (capacity × ports² × sizeof(Packet)) would dominate construction
-/// time and memory for short runs. Amortized push cost stays O(1);
-/// `capacity()` is the bound, not the currently allocated storage.
+/// being allocated eagerly: the default bounds are deep (1000-entry PQs)
+/// and most queues stay near-empty in any stable simulation, so eager
+/// allocation (capacity × ports × sizeof(Packet)) would dominate
+/// construction time and memory for short runs. Amortized push cost
+/// stays O(1); `capacity()` is the bound, not the allocated storage.
 class PacketQueue {
 public:
     PacketQueue() = default;

@@ -21,6 +21,13 @@ obs::SchedObserver make_observer(const SimConfig& config,
             scheduler != nullptr ? config.trace_capacity : 0, paranoid};
 }
 
+// A zero-capacity buffer would silently drop every packet offered to it.
+void require_capacity(std::size_t capacity, const char* field) {
+    if (capacity == 0) {
+        throw std::invalid_argument(std::string(field) + " must be positive");
+    }
+}
+
 }  // namespace
 
 SwitchSim::SwitchSim(const SimConfig& config,
@@ -51,20 +58,25 @@ SwitchSim::SwitchSim(const SimConfig& config,
     }
     switch (config_.mode) {
         case SwitchMode::kVoq:
+            require_capacity(config_.pq_capacity, "pq_capacity");
             input_queues_.assign(config_.ports,
                                  PacketQueue(config_.pq_capacity));
+            // VoqBank rejects a zero or oversized voq_capacity itself.
             voqs_.assign(config_.ports,
                          VoqBank(config_.ports, config_.voq_capacity));
             if (config_.speedup > 1) {
+                require_capacity(config_.outbuf_capacity, "outbuf_capacity");
                 output_buffers_.assign(config_.ports,
                                        PacketQueue(config_.outbuf_capacity));
             }
             break;
         case SwitchMode::kFifo:
+            require_capacity(config_.fifo_capacity, "fifo_capacity");
             input_queues_.assign(config_.ports,
                                  PacketQueue(config_.fifo_capacity));
             break;
         case SwitchMode::kOutputBuffered:
+            require_capacity(config_.outbuf_capacity, "outbuf_capacity");
             output_buffers_.assign(config_.ports,
                                    PacketQueue(config_.outbuf_capacity));
             break;
@@ -166,7 +178,7 @@ void SwitchSim::step_voq_mode() {
     for (std::size_t i = 0; i < config_.ports; ++i) {
         auto& pq = input_queues_[i];
         while (!pq.empty() &&
-               !voqs_[i].queue(pq.front().destination).full()) {
+               !voqs_[i].full(pq.front().destination)) {
             const std::size_t dst = pq.front().destination;
             voqs_[i].push(pq.pop());
             if (track_queue_lengths_) {
@@ -208,7 +220,7 @@ void SwitchSim::step_voq_mode() {
             const std::int32_t i = matching_.input_of(j);
             assert(i != sched::kUnmatched);
             auto& bank = voqs_[static_cast<std::size_t>(i)];
-            assert(!bank.queue(j).empty());
+            assert(!bank.empty(j));
             if (config_.speedup == 1) {
                 deliver(bank.pop(j));
             } else if (!output_buffers_[j].full()) {

@@ -1,28 +1,56 @@
 #include "sim/voq.hpp"
 
+#include <cassert>
+#include <stdexcept>
+
 namespace lcf::sim {
 
 VoqBank::VoqBank(std::size_t outputs, std::size_t capacity)
-    : queues_(outputs, PacketQueue(capacity)), occupancy_(outputs) {}
+    : queues_(outputs), occupancy_(outputs) {
+    if (capacity == 0) {
+        throw std::invalid_argument("voq_capacity must be positive");
+    }
+    if (outputs != 0 && capacity > kMaxNodes / outputs) {
+        throw std::invalid_argument(
+            "outputs x voq_capacity exceeds the VOQ bank's 32-bit node index");
+    }
+    capacity_ = static_cast<Index>(capacity);
+}
 
 bool VoqBank::push(const Packet& p) {
-    auto& q = queues_[p.destination];
-    const bool was_empty = q.empty();
-    const bool accepted = q.push(p);
-    if (accepted && was_empty) occupancy_.set(p.destination);
-    return accepted;
+    Queue& q = queues_[p.destination];
+    if (q.size == capacity_) return false;
+    Index n = free_;
+    if (n != kNil) {
+        free_ = nodes_[n].next;
+        nodes_[n] = Node{p, kNil};
+    } else {
+        n = static_cast<Index>(nodes_.size());
+        nodes_.push_back(Node{p, kNil});
+    }
+    if (q.size == 0) {
+        q.head = n;
+        occupancy_.set(p.destination);
+    } else {
+        nodes_[q.tail].next = n;
+    }
+    q.tail = n;
+    ++q.size;
+    ++buffered_;
+    return true;
 }
 
 Packet VoqBank::pop(std::size_t output) noexcept {
-    Packet p = queues_[output].pop();
-    if (queues_[output].empty()) occupancy_.reset(output);
-    return p;
-}
-
-std::size_t VoqBank::total_buffered() const noexcept {
-    std::size_t n = 0;
-    for (const auto& q : queues_) n += q.size();
-    return n;
+    Queue& q = queues_[output];
+    assert(q.size > 0);
+    const Index n = q.head;
+    Node& node = nodes_[n];
+    q.head = node.next;
+    node.next = free_;
+    free_ = n;
+    --buffered_;
+    if (--q.size == 0) occupancy_.reset(output);
+    return node.packet;
 }
 
 }  // namespace lcf::sim

@@ -1,39 +1,57 @@
 #pragma once
 // The virtual-output-queue bank of one input port: one bounded FIFO per
 // output, plus the occupancy bit vector the scheduler's request matrix is
-// built from.
+// built from. All of a bank's queues share one node pool, so its memory
+// follows the packets it buffers, not outputs × capacity.
 
 #include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
-#include "sim/packet_queue.hpp"
+#include "sim/packet.hpp"
 #include "util/bitvec.hpp"
 
 namespace lcf::sim {
 
-/// Per-input VOQ bank: `outputs` bounded FIFOs.
+/// Per-input VOQ bank: `outputs` bounded FIFOs over one node pool.
+///
+/// Each queue is a singly linked list {head, tail, size} threaded through
+/// the bank's pool of {Packet, next} nodes. push() takes a node from a
+/// LIFO free list (appending one only when the list is empty) and pop()
+/// returns it there, so the pool never exceeds the bank's peak
+/// occupancy and recently freed nodes are reused while still in cache.
 ///
 /// The occupancy bit vector is maintained incrementally on push()/pop()
 /// (one bit flip when a queue transitions empty <-> non-empty), so the
 /// simulator's per-phase request-matrix rebuild is a word copy instead
-/// of n per-queue emptiness probes. All mutations must therefore go
-/// through the bank — queue() hands out const access only.
+/// of n per-queue emptiness probes.
 class VoqBank {
 public:
+    /// Bound on outputs × capacity: node indices are 32-bit, with the
+    /// top value reserved as the end-of-list marker.
+    static constexpr std::size_t kMaxNodes =
+        std::numeric_limits<std::uint32_t>::max();
+
     VoqBank() = default;
-    /// One queue of `capacity` entries per output.
+    /// One queue of `capacity` entries per output. Throws
+    /// std::invalid_argument naming `voq_capacity` when it is zero or
+    /// outputs × capacity exceeds kMaxNodes.
     VoqBank(std::size_t outputs, std::size_t capacity);
 
-    [[nodiscard]] std::size_t outputs() const noexcept { return queues_.size(); }
-
-    /// Queue holding packets destined for `output` (read-only; mutate
-    /// via push()/pop()).
-    [[nodiscard]] const PacketQueue& queue(std::size_t output) const noexcept {
-        return queues_[output];
+    [[nodiscard]] std::size_t size(std::size_t output) const noexcept {
+        return queues_[output].size;
+    }
+    [[nodiscard]] bool empty(std::size_t output) const noexcept {
+        return queues_[output].size == 0;
+    }
+    [[nodiscard]] bool full(std::size_t output) const noexcept {
+        return queues_[output].size == capacity_;
     }
 
     /// Enqueue into the destination's queue; false (drop) when full.
-    /// May allocate (the queue's ring grows lazily), hence not noexcept.
+    /// May allocate (the pool grows to the bank's peak occupancy), hence
+    /// not noexcept.
     bool push(const Packet& p);
     /// Dequeue the head packet destined for `output` (precondition: the
     /// queue is non-empty).
@@ -46,10 +64,29 @@ public:
     }
 
     /// Total packets buffered across all queues.
-    [[nodiscard]] std::size_t total_buffered() const noexcept;
+    [[nodiscard]] std::size_t total_buffered() const noexcept {
+        return buffered_;
+    }
 
 private:
-    std::vector<PacketQueue> queues_;
+    using Index = std::uint32_t;
+    static constexpr Index kNil = std::numeric_limits<Index>::max();
+
+    struct Node {
+        Packet packet;
+        Index next = kNil;
+    };
+    struct Queue {
+        Index head = kNil;
+        Index tail = kNil;  // meaningful only while size > 0
+        Index size = 0;
+    };
+
+    std::vector<Node> nodes_;
+    std::vector<Queue> queues_;
+    Index free_ = kNil;  // head of the LIFO free list
+    Index capacity_ = 0;
+    std::size_t buffered_ = 0;
     util::BitVec occupancy_;
 };
 

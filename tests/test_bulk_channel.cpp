@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "traffic/bernoulli.hpp"
 #include "traffic/trace.hpp"
@@ -295,6 +296,21 @@ TEST(BulkChannel, RejectsBadConfiguration) {
         std::invalid_argument);
     c.hosts = 4;
     EXPECT_THROW(BulkChannelSim(c, nullptr), std::invalid_argument);
+}
+
+TEST(BulkChannel, RejectsZeroVoqCapacity) {
+    BulkChannelConfig c;
+    c.hosts = 4;
+    c.voq_capacity = 0;
+    try {
+        BulkChannelSim sim(c,
+                           std::make_unique<traffic::BernoulliUniform>(0.1));
+        ADD_FAILURE() << "accepted zero voq_capacity";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("voq_capacity"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 }  // namespace

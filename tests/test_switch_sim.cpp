@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/factory.hpp"
 #include "traffic/bernoulli.hpp"
 #include "traffic/hotspot.hpp"
@@ -296,6 +298,57 @@ TEST(SwitchSim, RejectsInvalidConstruction) {
         SwitchSim(c, islip(),
                   std::make_unique<traffic::BernoulliUniform>(0.1)),
         std::invalid_argument);
+}
+
+// A zero-capacity buffer would silently drop every packet; each mode's
+// constructor rejects one and names the field.
+void expect_rejects_field(const SimConfig& c, const std::string& field) {
+    try {
+        SwitchSim sim(c, islip(),
+                      std::make_unique<traffic::BernoulliUniform>(0.1));
+        ADD_FAILURE() << "accepted zero " << field;
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(SwitchSim, RejectsZeroVoqCapacity) {
+    auto c = tiny();
+    c.voq_capacity = 0;
+    expect_rejects_field(c, "voq_capacity");
+}
+
+TEST(SwitchSim, RejectsZeroPqCapacity) {
+    auto c = tiny();
+    c.pq_capacity = 0;
+    expect_rejects_field(c, "pq_capacity");
+}
+
+TEST(SwitchSim, RejectsZeroFifoCapacity) {
+    auto c = tiny(SwitchMode::kFifo);
+    c.fifo_capacity = 0;
+    expect_rejects_field(c, "fifo_capacity");
+}
+
+TEST(SwitchSim, RejectsZeroOutbufCapacity) {
+    auto c = tiny(SwitchMode::kOutputBuffered);
+    c.outbuf_capacity = 0;
+    expect_rejects_field(c, "outbuf_capacity");
+    // With speedup the VOQ switch drains through output buffers too.
+    c.mode = SwitchMode::kVoq;
+    c.speedup = 2;
+    expect_rejects_field(c, "outbuf_capacity");
+    // At speedup 1 it has none, so their bound is never used.
+    c.speedup = 1;
+    EXPECT_NO_THROW(SwitchSim(c, islip(),
+                              std::make_unique<traffic::BernoulliUniform>(0.1)));
+}
+
+TEST(SwitchSim, RejectsVoqPoolBeyondNodeIndex) {
+    auto c = tiny();
+    c.voq_capacity = VoqBank::kMaxNodes / c.ports + 1;
+    expect_rejects_field(c, "voq_capacity");
 }
 
 }  // namespace

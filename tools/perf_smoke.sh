@@ -6,7 +6,9 @@
 # regressions, not machine noise, are the target — see
 # tools/compare_bench.py. Both comparisons pass the build type read from
 # the build tree so compare_bench.py can warn loudly on a
-# Release-vs-Debug mismatch.
+# Release-vs-Debug mismatch. A memory gate then compares the repository
+# benchmark's (perfbench/) peak RSS on the n=256 VOQ workload against the
+# 16-port sweep's, which sits at the process floor.
 #
 # Usage: tools/perf_smoke.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -42,3 +44,23 @@ run_gate "$BUILD_DIR/bench/bench_sched_speed" \
 # too slow for a smoke job; the committed baseline still records them).
 run_gate "$BUILD_DIR/bench/bench_sim_throughput" \
     "$REPO_ROOT/BENCH_sim_throughput.json" '/(16|64)/90$' 0.05
+
+# Memory: VOQ storage must follow buffered packets, not ports². The n=256
+# VOQ workload may peak at most 10 MB above the 16-port sweep (binary,
+# thread pool and libraries only); one ring per (input, output) pair put
+# it 45.7 MB above.
+peak_rss_mb() {
+    python3 "$REPO_ROOT/perfbench/run.py" --workload "$1" --seconds 1 \
+        --trace 0 | tail -n 1 | python3 -c \
+        'import json, sys; print(json.load(sys.stdin)["metrics"]["peak_rss_mb"]["value"])'
+}
+VOQ_RSS=$(peak_rss_mb voq_n256_uniform)
+FLOOR_RSS=$(peak_rss_mb fig12_n16_sweep)
+python3 - "$VOQ_RSS" "$FLOOR_RSS" <<'PY'
+import sys
+voq, floor = float(sys.argv[1]), float(sys.argv[2])
+gap = voq - floor
+print(f"perf_smoke: peak_rss_mb voq_n256_uniform {voq:.1f} - "
+      f"fig12_n16_sweep {floor:.1f} = {gap:.1f} MB (limit 10)")
+sys.exit(1 if gap > 10.0 else 0)
+PY
