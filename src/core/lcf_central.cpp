@@ -35,6 +35,8 @@ void LcfCentralScheduler::ensure_scratch(std::size_t n_in, std::size_t n_out) {
     free_inputs_ = util::BitVec(n_in);
     cand_ = util::BitVec(n_in);
     masked_row_ = util::BitVec(n_out);
+    busy_inputs_ = util::BitVec(n_in);
+    busy_outputs_ = util::BitVec(n_out);
     nrq_.assign(n_in, 0);
 }
 
@@ -161,8 +163,9 @@ void LcfCentralScheduler::schedule_with_precalc(
     // dropped"). One transpose of the claim rows replaces the per-target
     // rotated scan over all inputs: each target's claimants are walked in
     // rotated order directly from its column's set bits.
-    util::BitVec busy_inputs(n_in);
-    util::BitVec busy_outputs(n_out);
+    if (n_in_ != n_in || n_out_ != n_out) ensure_scratch(n_in, n_out);
+    busy_inputs_.clear();
+    busy_outputs_.clear();
     if (precalc_cols_.size() != n_out ||
         (n_out > 0 && precalc_cols_[0].size() != n_in)) {
         precalc_cols_.assign(n_out, util::BitVec(n_in));
@@ -187,7 +190,7 @@ void LcfCentralScheduler::schedule_with_precalc(
                 if ((i >= rot0) != (pass == 0)) continue;
                 if (out.fanout[j] == sched::kUnmatched) {
                     out.fanout[j] = static_cast<std::int32_t>(i);
-                    busy_outputs.set(j);
+                    busy_outputs_.set(j);
                 } else {
                     out.dropped.emplace_back(i, j);
                 }
@@ -198,12 +201,12 @@ void LcfCentralScheduler::schedule_with_precalc(
     // packet this slot and does not take part in the LCF stage.
     for (std::size_t j = 0; j < n_out; ++j) {
         if (out.fanout[j] != sched::kUnmatched) {
-            busy_inputs.set(static_cast<std::size_t>(out.fanout[j]));
+            busy_inputs_.set(static_cast<std::size_t>(out.fanout[j]));
         }
     }
 
     // Stage 2: regular LCF over the remaining requests and free ports.
-    run_lcf(requests, &busy_inputs, &busy_outputs, out.unicast);
+    run_lcf(requests, &busy_inputs_, &busy_outputs_, out.unicast);
     for (std::size_t j = 0; j < n_out; ++j) {
         if (out.unicast.input_of(j) != sched::kUnmatched) {
             out.fanout[j] = out.unicast.input_of(j);

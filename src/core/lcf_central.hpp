@@ -116,6 +116,8 @@ private:
     util::BitVec masked_row_;          // precalc path: row & ~busy_outputs
     std::vector<std::size_t> nrq_;     // remaining choices per free input
     // schedule_with_precalc() stage-1 scratch.
+    util::BitVec busy_inputs_;         // inputs that won a precalc claim
+    util::BitVec busy_outputs_;        // outputs a precalc claim took
     std::vector<util::BitVec> precalc_cols_;
     std::vector<std::size_t> rot_scratch_;
 };
