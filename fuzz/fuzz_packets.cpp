@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <vector>
 
 #include "clint/packets.hpp"
 #include "fuzz_common.hpp"
@@ -38,7 +37,7 @@ template <typename Packet>
 void check_accepted_roundtrip(std::span<const std::uint8_t> wire) {
     const std::optional<Packet> decoded = Packet::decode(wire);
     if (!decoded) return;
-    const std::vector<std::uint8_t> re = decoded->encode();
+    const auto re = decoded->encode();
     LCF_FUZZ_ASSERT(re.size() == wire.size(),
                     "re-encode changed wire size: %zu -> %zu", wire.size(),
                     re.size());
@@ -51,7 +50,7 @@ void check_accepted_roundtrip(std::span<const std::uint8_t> wire) {
 
 template <typename Packet>
 void check_field_roundtrip(const Packet& p, lcf::fuzz::ByteReader& in) {
-    std::vector<std::uint8_t> wire = p.encode();
+    auto wire = p.encode();
     LCF_FUZZ_ASSERT(wire.size() == Packet::kWireSize,
                     "encode produced %zu bytes, expected %zu", wire.size(),
                     Packet::kWireSize);

@@ -2,9 +2,32 @@
 
 #include <algorithm>
 #include <cassert>
+#include <optional>
+#include <span>
 #include <stdexcept>
 
 namespace lcf::clint {
+
+namespace {
+
+void require(bool ok, const char* message) {
+    if (!ok) throw std::invalid_argument(message);
+}
+
+// One control wire's trip through the link's bit errors and the fault
+// plan: the bytes that arrive, or nullopt when the plan absorbs them.
+std::optional<std::span<const std::uint8_t>> carry(
+    ErrorLink& link, std::optional<fault::FaultInjector>& injector,
+    fault::LinkKind kind, std::size_t host, std::uint64_t slot,
+    std::span<std::uint8_t> wire) {
+    link.transmit(wire);
+    const std::optional<std::size_t> arrived =
+        injector ? injector->transmit(kind, host, slot, wire) : wire.size();
+    if (!arrived) return std::nullopt;
+    return wire.first(*arrived);
+}
+
+}  // namespace
 
 BulkChannelSim::BulkChannelSim(
     const BulkChannelConfig& config,
@@ -19,16 +42,15 @@ BulkChannelSim::BulkChannelSim(
       observer_(config.hosts, config.hosts, 0,
                 config.paranoid ? std::make_optional(obs::ParanoidOptions{})
                                 : std::nullopt) {
-    if (config_.hosts == 0 || config_.hosts > 16) {
-        throw std::invalid_argument("bulk channel supports 1..16 hosts");
-    }
-    if (traffic_ == nullptr) {
-        throw std::invalid_argument("traffic generator required");
-    }
+    require(config_.hosts > 0 && config_.hosts <= 16,
+            "bulk channel supports 1..16 hosts");
+    require(traffic_ != nullptr, "traffic generator required");
     traffic_->reset(config_.hosts, config_.hosts, config_.seed);
     arrival_buf_.assign(config_.hosts, traffic::kNoArrival);
     scheduler_.reset(config_.hosts, config_.hosts);
     hosts_.resize(config_.hosts);
+    uplinks_.reserve(config_.hosts);
+    downlinks_.reserve(config_.hosts);
     for (std::size_t h = 0; h < config_.hosts; ++h) {
         // Throws for a zero (or oversized) voq_capacity.
         hosts_[h].voqs = sim::VoqBank(config_.hosts, config_.voq_capacity);
@@ -55,12 +77,20 @@ BulkChannelSim::BulkChannelSim(
 
 void BulkChannelSim::enqueue_multicast(std::size_t host,
                                        std::uint16_t target_mask) {
+    require(host < config_.hosts, "enqueue_multicast: host out of range");
+    require((target_mask >> config_.hosts) == 0,
+            "enqueue_multicast: target_mask bit out of range");
     hosts_[host].multicast.push_back(
         MulticastEntry{target_mask, next_packet_id_++, slot_});
 }
 
 void BulkChannelSim::set_bulk_enable_report(std::size_t host,
                                             std::uint16_t ben_mask) {
+    require(host < config_.hosts, "set_bulk_enable_report: host out of range");
+    // Only a cleared bit names an initiator (it disables it); the bits
+    // above the last host stay set, as in the all-enabled 0xFFFF.
+    require((static_cast<std::uint16_t>(~ben_mask) >> config_.hosts) == 0,
+            "set_bulk_enable_report: ben_mask bit out of range");
     hosts_[host].ben_report = ben_mask;
 }
 
@@ -99,32 +129,24 @@ void BulkChannelSim::crash_host(std::size_t host) {
     // accounted as crash losses and their sequence holes closed so the
     // receiver-side trackers keep advancing; copies whose delivery
     // already landed (only the ack was pending) just disappear.
+    const auto lose = [&](const sim::Packet& p) {
+        ++stats_.crash_lost;
+        seq_.skip(flow_of(p), p.flow_seq);
+    };
     for (std::size_t j = 0; j < config_.hosts; ++j) {
-        while (!h.voqs.empty(j)) {
-            const sim::Packet p = h.voqs.pop(j);
-            ++stats_.crash_lost;
-            seq_.skip(flow_of(p), p.flow_seq);
-        }
+        while (!h.voqs.empty(j)) lose(h.voqs.pop(j));
     }
-    for (const auto& r : h.retransmit) {
-        if (!r.delivered) {
-            ++stats_.crash_lost;
-            seq_.skip(flow_of(r.packet), r.packet.flow_seq);
+    for (const auto* transfers : {&h.retransmit, &h.outstanding}) {
+        for (const Transfer& t : *transfers) {
+            if (!t.delivered) lose(t.packet);
         }
     }
     h.retransmit.clear();
-    for (const auto& o : h.outstanding) {
-        if (!o.delivered) {
-            ++stats_.crash_lost;
-            seq_.skip(flow_of(o.packet), o.packet.flow_seq);
-        }
-    }
     h.outstanding.clear();
     stats_.multicast_lost += h.multicast.size();
     h.multicast.clear();
     h.committed.assign(config_.hosts, 0);
     h.pending_grant.reset();
-    h.pending_multicast = false;
     h.pending_fanout.clear();
 }
 
@@ -154,7 +176,7 @@ void BulkChannelSim::step_arrivals() {
 void BulkChannelSim::step_timeouts() {
     for (auto& h : hosts_) {
         for (std::size_t k = 0; k < h.outstanding.size();) {
-            OutstandingTransfer& o = h.outstanding[k];
+            Transfer& o = h.outstanding[k];
             if (slot_ - o.sent_slot < retry_window(o.retries)) {
                 ++k;
                 continue;
@@ -168,8 +190,8 @@ void BulkChannelSim::step_timeouts() {
                     seq_.skip(flow_of(o.packet), o.packet.flow_seq);
                 }
             } else {
-                h.retransmit.push_back(PendingRetransmit{
-                    o.packet, o.first_sent, o.retries + 1, o.delivered});
+                ++o.retries;
+                h.retransmit.push_back(o);
                 ++stats_.retransmissions;
             }
             h.outstanding.erase(h.outstanding.begin() +
@@ -178,11 +200,11 @@ void BulkChannelSim::step_timeouts() {
     }
 }
 
-bool BulkChannelSim::deliver(const sim::Packet& p, std::uint64_t first_sent,
-                             std::uint32_t retries) {
+void BulkChannelSim::deliver(const Transfer& t) {
+    const sim::Packet& p = t.packet;
     if (!seq_.deliver(flow_of(p), p.flow_seq)) {
         ++stats_.duplicate_deliveries;
-        return false;
+        return;
     }
     ++stats_.delivered_unique;
     const std::uint64_t delay = slot_ + 1 - p.generated_slot;
@@ -191,11 +213,10 @@ bool BulkChannelSim::deliver(const sim::Packet& p, std::uint64_t first_sent,
         delay_hist_.add(delay);
     }
     if (slot_ >= config_.warmup_slots) ++delivered_after_warmup_;
-    if (retries > 0) {
+    if (t.retries > 0) {
         ++stats_.recovered;
-        recovery_delay_.add(static_cast<double>(slot_ + 1 - first_sent));
+        recovery_delay_.add(static_cast<double>(slot_ + 1 - t.first_sent));
     }
-    return true;
 }
 
 void BulkChannelSim::step_transfers() {
@@ -204,9 +225,9 @@ void BulkChannelSim::step_transfers() {
         Host& h = hosts_[hi];
 
         // Multicast fan-out admitted by the precalculated stage.
-        if (h.pending_multicast) {
+        if (!h.pending_fanout.empty()) {
             assert(!h.multicast.empty());
-            h.multicast.pop_front();
+            h.multicast.erase(h.multicast.begin());
             for (const std::size_t target : h.pending_fanout) {
                 if (data_rng_.next_bool(fault::corruption_probability(
                         injector_, p_data_corrupt_, fault::LinkKind::kData, hi,
@@ -221,7 +242,6 @@ void BulkChannelSim::step_transfers() {
                     ++stats_.multicast_copies;
                 }
             }
-            h.pending_multicast = false;
             h.pending_fanout.clear();
         }
 
@@ -233,24 +253,17 @@ void BulkChannelSim::step_transfers() {
 
         // Pick the packet for this target: lost transfers first, then
         // the VOQ head.
-        sim::Packet packet;
-        std::uint64_t first_sent = slot_;
-        std::uint32_t retries = 0;
-        bool delivered_before = false;
+        Transfer t{{}, slot_, slot_, 0, false};
         const auto rit = std::find_if(
             h.retransmit.begin(), h.retransmit.end(),
-            [&](const PendingRetransmit& r) {
-                return r.packet.destination == target;
-            });
+            [&](const Transfer& r) { return r.packet.destination == target; });
         if (rit != h.retransmit.end()) {
-            packet = rit->packet;
-            first_sent = rit->first_sent;
-            retries = rit->retries;
-            delivered_before = rit->delivered;
+            t = *rit;
+            t.sent_slot = slot_;
             h.retransmit.erase(rit);
         } else {
             assert(!h.voqs.empty(target));
-            packet = h.voqs.pop(target);
+            t.packet = h.voqs.pop(target);
         }
 
         // Bulk data packet across the fabric.
@@ -262,11 +275,10 @@ void BulkChannelSim::step_transfers() {
                                                   slot_)))) {
             ++stats_.data_corruptions;
             // No ack will come; the timeout path retransmits.
-            h.outstanding.push_back(OutstandingTransfer{
-                packet, slot_, first_sent, retries, delivered_before});
+            h.outstanding.push_back(t);
             continue;
         }
-        deliver(packet, first_sent, retries);
+        deliver(t);
 
         // Acknowledgment back over the quick channel (sent by `target`).
         last_acks_.emplace_back(target, hi);
@@ -276,8 +288,8 @@ void BulkChannelSim::step_transfers() {
             (injector_ &&
              injector_->packet_lost(fault::LinkKind::kAck, target, slot_))) {
             ++stats_.ack_losses;
-            h.outstanding.push_back(OutstandingTransfer{
-                packet, slot_, first_sent, retries, true});
+            t.delivered = true;
+            h.outstanding.push_back(t);
         }
         // Ack received: transfer complete, nothing outstanding.
     }
@@ -298,7 +310,6 @@ void BulkChannelSim::step_scheduling() {
     }
     requests_.clear();
     precalc_.clear();
-    config_ok_.assign(n, false);
     decoded_cfgs_.assign(n, std::nullopt);
     std::uint16_t ben_consensus = 0xFFFF;
     for (std::size_t h = 0; h < n; ++h) {
@@ -315,14 +326,15 @@ void BulkChannelSim::step_scheduling() {
                       : hosts_[h].multicast.front().target_mask;
         cfg.ben = hosts_[h].ben_report;
         cfg.qen = 0xFFFF;
-        auto wire = uplinks_[h].transmit(cfg.encode());
-        if (injector_ &&
-            !injector_->transmit(fault::LinkKind::kUplink, h, slot_, wire)) {
+        auto wire = cfg.encode();
+        const auto arrived = carry(uplinks_[h], injector_,
+                                   fault::LinkKind::kUplink, h, slot_, wire);
+        if (!arrived) {
             ++stats_.configs_lost;
             switch_link_flag_[h] = true;
             continue;  // absorbed whole: the switch hears silence
         }
-        decoded_cfgs_[h] = ConfigPacket::decode(wire);
+        decoded_cfgs_[h] = ConfigPacket::decode(*arrived);
         if (!decoded_cfgs_[h]) {
             ++stats_.config_crc_errors;
             switch_crc_flag_[h] = true;
@@ -340,7 +352,6 @@ void BulkChannelSim::step_scheduling() {
     for (std::size_t h = 0; h < n; ++h) {
         if (!decoded_cfgs_[h]) continue;
         if (fenced_mask_ & (1U << h)) continue;
-        config_ok_[h] = true;
         const std::uint64_t pre = decoded_cfgs_[h]->pre & ~down;
         for (std::size_t j = 0; j < n; ++j) {
             if (decoded_cfgs_[h]->req & (1U << j)) requests_.set(h, j);
@@ -368,13 +379,14 @@ void BulkChannelSim::step_scheduling() {
         switch_crc_flag_[h] = false;
         switch_link_flag_[h] = false;
 
-        auto wire = downlinks_[h].transmit(gnt.encode());
-        if (injector_ &&
-            !injector_->transmit(fault::LinkKind::kDownlink, h, slot_, wire)) {
+        auto wire = gnt.encode();
+        const auto arrived = carry(downlinks_[h], injector_,
+                                   fault::LinkKind::kDownlink, h, slot_, wire);
+        if (!arrived) {
             ++stats_.grants_lost;
             continue;  // host misses its grant; the slot goes unused
         }
-        const auto decoded = GrantPacket::decode(wire);
+        const auto decoded = GrantPacket::decode(*arrived);
         if (!decoded) {
             ++stats_.grant_crc_errors;
             continue;  // host misses its grant; the slot goes unused
@@ -384,8 +396,9 @@ void BulkChannelSim::step_scheduling() {
             ++hosts_[h].committed[decoded->gnt];
         }
         // Precalculated fan-out: targets whose fanout names this host
-        // but that are not part of the unicast matching.
-        if (config_ok_[h] && !hosts_[h].multicast.empty()) {
+        // but that are not part of the unicast matching. Only a claim
+        // from this host's admitted config can put it there.
+        if (!hosts_[h].multicast.empty()) {
             auto& fan = hosts_[h].pending_fanout;  // empty since transfer
             for (std::size_t j = 0; j < n; ++j) {
                 if (schedule_.fanout[j] == static_cast<std::int32_t>(h) &&
@@ -393,7 +406,6 @@ void BulkChannelSim::step_scheduling() {
                     fan.push_back(j);
                 }
             }
-            hosts_[h].pending_multicast = !fan.empty();
         }
     }
 }

@@ -22,8 +22,6 @@
 // bit-identically to a build without the fault layer.
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -121,7 +119,8 @@ public:
     /// Queue a multicast packet at `host` destined for every target in
     /// `target_mask`; it will be advertised through the configuration
     /// packet's `pre` field and admitted by the scheduler's
-    /// precalculated stage (§4.3).
+    /// precalculated stage (§4.3). Throws std::invalid_argument, naming
+    /// the argument, for a `host` or a mask bit not below config.hosts.
     void enqueue_multicast(std::size_t host, std::uint16_t target_mask);
 
     /// Set the bulk-enable mask `host` reports in its configuration
@@ -130,7 +129,8 @@ public:
     /// hosts whose configuration decoded correctly; an initiator whose
     /// bit is cleared anywhere is fenced off: its requests and
     /// precalculated claims are ignored until re-enabled. Defaults to
-    /// all-enabled.
+    /// all-enabled. Throws std::invalid_argument, naming the argument, for
+    /// a `host` not below config.hosts or a mask clearing such a bit.
     void set_bulk_enable_report(std::size_t host, std::uint16_t ben_mask);
 
     /// Initiators currently fenced off by the ben consensus (as of the
@@ -193,18 +193,13 @@ public:
     }
 
 private:
-    struct OutstandingTransfer {
+    /// A transfer awaiting its ack, or timed out and awaiting a regrant.
+    struct Transfer {
         sim::Packet packet;
         std::uint64_t sent_slot = 0;   ///< most recent transmission
         std::uint64_t first_sent = 0;  ///< first transmission (recovery delay)
         std::uint32_t retries = 0;     ///< retransmissions so far
         bool delivered = false;  ///< target already has it (its ack was lost)
-    };
-    struct PendingRetransmit {
-        sim::Packet packet;
-        std::uint64_t first_sent = 0;
-        std::uint32_t retries = 0;
-        bool delivered = false;
     };
     struct MulticastEntry {
         std::uint16_t target_mask = 0;
@@ -213,13 +208,13 @@ private:
     };
     struct Host {
         sim::VoqBank voqs;
-        std::deque<PendingRetransmit> retransmit;  // timed-out, awaiting regrant
-        std::vector<OutstandingTransfer> outstanding;  // awaiting ack
+        std::vector<Transfer> retransmit;   // timed-out, awaiting regrant
+        std::vector<Transfer> outstanding;  // awaiting ack
         std::vector<std::size_t> committed;   // grants not yet transferred, per target
-        std::deque<MulticastEntry> multicast;
+        std::vector<MulticastEntry> multicast;  // oldest first
         std::optional<std::uint8_t> pending_grant;  // target granted last slot
-        bool pending_multicast = false;  // last grant cycle admitted precalc
-        std::vector<std::size_t> pending_fanout;    // admitted precalc targets
+        // Precalc targets the last grant cycle admitted (none: no multicast).
+        std::vector<std::size_t> pending_fanout;
         std::uint16_t ben_report = 0xFFFF;  // bulk-enable mask this host sends
     };
 
@@ -235,9 +230,8 @@ private:
     void step_timeouts();
     void step_transfers();
     void step_scheduling();
-    /// Hand `p` to its target. Returns true on first delivery.
-    bool deliver(const sim::Packet& p, std::uint64_t first_sent,
-                 std::uint32_t retries);
+    /// Hand `t`'s packet to its target (a first delivery or a duplicate).
+    void deliver(const Transfer& t);
 
     BulkChannelConfig config_;
     std::unique_ptr<traffic::TrafficGenerator> traffic_;
@@ -262,7 +256,6 @@ private:
     sched::RequestMatrix requests_;
     core::PrecalcSchedule precalc_;
     core::MulticastResult schedule_;
-    std::vector<bool> config_ok_;
     std::vector<std::optional<ConfigPacket>> decoded_cfgs_;
 
     std::optional<fault::FaultInjector> injector_;

@@ -22,12 +22,13 @@ ClintResult run_clint(const ClintConfig& config) {
     quick.bit_error_rate = config.bit_error_rate;
     quick.fault_plan = config.quick_faults;
 
+    const auto traffic_at = [&](double load) {
+        return traffic::make_traffic(config.traffic, load);
+    };
     ClintResult result;
     if (config.integrated) {
-        BulkChannelSim bulk_sim(
-            bulk, traffic::make_traffic(config.traffic, config.bulk_load));
-        QuickChannelSim quick_sim(
-            quick, traffic::make_traffic(config.traffic, config.quick_load));
+        BulkChannelSim bulk_sim(bulk, traffic_at(config.bulk_load));
+        QuickChannelSim quick_sim(quick, traffic_at(config.quick_load));
         for (std::uint64_t t = 0; t < config.slots; ++t) {
             bulk_sim.step();
             for (const auto& [target, initiator] : bulk_sim.last_acks()) {
@@ -40,18 +41,9 @@ ClintResult run_clint(const ClintConfig& config) {
         result.quick_control_sent = quick_sim.control_sent();
         result.quick_control_preemptions = quick_sim.control_preemptions();
     } else {
-        {
-            BulkChannelSim sim(bulk,
-                               traffic::make_traffic(config.traffic,
-                                                     config.bulk_load));
-            result.bulk = sim.run();
-        }
-        {
-            QuickChannelSim sim(quick,
-                                traffic::make_traffic(config.traffic,
-                                                      config.quick_load));
-            result.quick = sim.run();
-        }
+        result.bulk = BulkChannelSim(bulk, traffic_at(config.bulk_load)).run();
+        result.quick =
+            QuickChannelSim(quick, traffic_at(config.quick_load)).run();
     }
     return result;
 }

@@ -13,20 +13,16 @@ ErrorLink::ErrorLink(double bit_error_rate, std::uint64_t seed)
     }
 }
 
-std::vector<std::uint8_t> ErrorLink::transmit(
-    std::span<const std::uint8_t> wire) {
-    std::vector<std::uint8_t> out(wire.begin(), wire.end());
-    if (ber_ <= 0.0) return out;
+void ErrorLink::transmit(std::span<std::uint8_t> wire) {
+    if (ber_ <= 0.0) return;
     // Geometric skip sampling (util::flip_bits): O(flips) RNG work per
     // packet instead of the previous 8 Bernoulli draws per byte, with
     // identical independent-flip semantics.
-    const std::uint64_t flips =
-        util::flip_bits({out.data(), out.size()}, ber_, rng_);
+    const std::uint64_t flips = util::flip_bits(wire, ber_, rng_);
     if (flips > 0) {
         flipped_bits_ += flips;
         ++corrupted_;
     }
-    return out;
 }
 
 }  // namespace lcf::clint

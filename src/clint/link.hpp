@@ -5,7 +5,6 @@
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "util/rng.hpp"
 
@@ -17,10 +16,9 @@ class ErrorLink {
 public:
     ErrorLink(double bit_error_rate, std::uint64_t seed);
 
-    /// Transmit a packet; the returned buffer may differ from the input
-    /// in corrupted bits. Increments error statistics when it does.
-    [[nodiscard]] std::vector<std::uint8_t> transmit(
-        std::span<const std::uint8_t> wire);
+    /// Transmit a packet: flips its corrupted bits in place and
+    /// increments the error statistics when there are any.
+    void transmit(std::span<std::uint8_t> wire);
 
     /// Packets that suffered at least one bit flip so far.
     [[nodiscard]] std::uint64_t corrupted_packets() const noexcept {

@@ -6,18 +6,19 @@ namespace lcf::clint {
 
 namespace {
 
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-    out.push_back(static_cast<std::uint8_t>(v >> 8));
-    out.push_back(static_cast<std::uint8_t>(v & 0xFF));
+void put_u16(std::span<std::uint8_t> out, std::size_t at, std::uint16_t v) {
+    out[at] = static_cast<std::uint8_t>(v >> 8);
+    out[at + 1] = static_cast<std::uint8_t>(v & 0xFF);
 }
 
 std::uint16_t get_u16(std::span<const std::uint8_t> in, std::size_t at) {
     return static_cast<std::uint16_t>((in[at] << 8) | in[at + 1]);
 }
 
-void append_crc(std::vector<std::uint8_t>& out) {
-    const std::uint16_t crc = crc16({out.data(), out.size()});
-    put_u16(out, crc);
+// CRC-16 over everything before the trailing two bytes, stored there.
+void put_crc(std::span<std::uint8_t> wire) {
+    const std::size_t body = wire.size() - 2;
+    put_u16(wire, body, crc16(wire.first(body)));
 }
 
 bool crc_ok(std::span<const std::uint8_t> wire) {
@@ -31,15 +32,15 @@ bool crc_ok(std::span<const std::uint8_t> wire) {
 
 }  // namespace
 
-std::vector<std::uint8_t> ConfigPacket::encode() const {
-    std::vector<std::uint8_t> out;
-    out.reserve(kWireSize);
-    out.push_back(static_cast<std::uint8_t>(PacketType::kConfig));
-    put_u16(out, req);
-    put_u16(out, pre);
-    put_u16(out, ben);
-    put_u16(out, qen);
-    append_crc(out);
+std::array<std::uint8_t, ConfigPacket::kWireSize> ConfigPacket::encode()
+    const {
+    std::array<std::uint8_t, kWireSize> out{};
+    out[0] = static_cast<std::uint8_t>(PacketType::kConfig);
+    put_u16(out, 1, req);
+    put_u16(out, 3, pre);
+    put_u16(out, 5, ben);
+    put_u16(out, 7, qen);
+    put_crc(out);
     return out;
 }
 
@@ -58,16 +59,15 @@ std::optional<ConfigPacket> ConfigPacket::decode(
     return p;
 }
 
-std::vector<std::uint8_t> GrantPacket::encode() const {
-    std::vector<std::uint8_t> out;
-    out.reserve(kWireSize);
-    out.push_back(static_cast<std::uint8_t>(PacketType::kGrant));
-    out.push_back(static_cast<std::uint8_t>(((node_id & 0x0F) << 4) |
-                                            (gnt & 0x0F)));
-    out.push_back(static_cast<std::uint8_t>((gnt_val ? 0x4 : 0) |
-                                            (link_err ? 0x2 : 0) |
-                                            (crc_err ? 0x1 : 0)));
-    append_crc(out);
+std::array<std::uint8_t, GrantPacket::kWireSize> GrantPacket::encode()
+    const {
+    std::array<std::uint8_t, kWireSize> out{};
+    out[0] = static_cast<std::uint8_t>(PacketType::kGrant);
+    out[1] = static_cast<std::uint8_t>(((node_id & 0x0F) << 4) | (gnt & 0x0F));
+    out[2] = static_cast<std::uint8_t>((gnt_val ? 0x4 : 0) |
+                                       (link_err ? 0x2 : 0) |
+                                       (crc_err ? 0x1 : 0));
+    put_crc(out);
     return out;
 }
 

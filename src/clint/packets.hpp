@@ -14,10 +14,10 @@
 // mistyped buffers — exactly the behaviour the protocol relies on for
 // its linkErr/CRCErr reporting.
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <vector>
 
 namespace lcf::clint {
 
@@ -38,7 +38,7 @@ struct ConfigPacket {
     static constexpr std::size_t kWireSize = 11;
 
     /// Serialise including the trailing CRC.
-    [[nodiscard]] std::vector<std::uint8_t> encode() const;
+    [[nodiscard]] std::array<std::uint8_t, kWireSize> encode() const;
     /// Decode and CRC-check; nullopt when the buffer is not a valid
     /// configuration packet.
     [[nodiscard]] static std::optional<ConfigPacket> decode(
@@ -57,7 +57,7 @@ struct GrantPacket {
 
     static constexpr std::size_t kWireSize = 5;
 
-    [[nodiscard]] std::vector<std::uint8_t> encode() const;
+    [[nodiscard]] std::array<std::uint8_t, kWireSize> encode() const;
     [[nodiscard]] static std::optional<GrantPacket> decode(
         std::span<const std::uint8_t> wire);
 

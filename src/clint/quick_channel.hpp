@@ -6,6 +6,13 @@
 // run stop-and-wait: a missing acknowledgment triggers retransmission
 // after a timeout, up to a retry limit.
 //
+// Arbitration is one pass over the hosts. Each host records its
+// destination for the slot, and each target keeps the contender with
+// the smallest rotated rank (h - pointer) mod hosts: the first one a
+// scan from its priority pointer would meet. Collisions are senders
+// minus winners; a winner moves the pointer past itself. After warm-up
+// a slot allocates nothing.
+//
 // A fault::FaultPlan in the config layers deterministic faults on top:
 // extra bit-error epochs and packet loss on the data/ack paths plus host
 // crash/restart schedules. (Scheduler stalls do not apply — the quick
@@ -13,7 +20,6 @@
 // bit-identically to a build without the fault layer.
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -108,7 +114,8 @@ public:
     /// destined for `target`. Control packets preempt the host's data
     /// transmission for the slot in which they are sent and are
     /// fire-and-forget (losses are the bulk channel's timeout problem,
-    /// not retransmitted here).
+    /// not retransmitted here). Throws std::invalid_argument, naming the
+    /// argument, when `host` or `target` is not below config.hosts.
     void inject_control(std::size_t host, std::size_t target);
 
     /// Control packets transmitted so far.
@@ -135,10 +142,11 @@ private:
     struct Host {
         sim::PacketQueue queue;
         std::optional<Outstanding> inflight;  // stop-and-wait window of 1
-        std::deque<std::size_t> control;      // pending ack targets
+        std::vector<std::uint32_t> control;   // pending ack targets, oldest first
         bool sending_control = false;         // this slot's transmission
-        std::size_t control_target = 0;
+        std::uint32_t dest = kNone;  // this slot's target (control or data)
     };
+    static constexpr std::uint32_t kNone = ~std::uint32_t{0};  // no host
 
     void crash_host(std::size_t host);
 
@@ -146,6 +154,7 @@ private:
     std::unique_ptr<traffic::TrafficGenerator> traffic_;
     std::vector<Host> hosts_;
     std::vector<std::size_t> target_priority_;  // rotating winner pointer
+    std::vector<std::uint32_t> winner_;  // per target, this slot; sized by step()
     util::Xoshiro256 rng_;
     double p_data_corrupt_ = 0.0;
     double p_ack_corrupt_ = 0.0;

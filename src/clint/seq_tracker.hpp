@@ -2,21 +2,21 @@
 // Per-flow sequence-number duplicate suppression for the Clint
 // channels. Each (source, destination) flow numbers its packets
 // contiguously at generation (sim::Packet::flow_seq); a receiver-side
-// SeqTracker then answers "first delivery or duplicate?" in O(log k)
-// with memory bounded by the reorder window, unlike the delivered-id
-// hash set it replaces, which grew with every packet ever delivered and
-// made multi-million-slot soak runs accumulate without bound.
+// SeqTracker then answers "first delivery or duplicate?" in O(k) with
+// memory bounded by the reorder window k, unlike the delivered-id hash
+// set it replaces, which grew with every packet ever delivered and made
+// multi-million-slot soak runs accumulate without bound.
 //
 // The tracker keeps, per flow, a base sequence number (everything below
-// it is accounted for) plus the sparse set of accounted-for sequence
-// numbers at or above it. Retransmission reordering keeps the set small;
+// it is accounted for) plus a sorted vector, which keeps its capacity,
+// of the accounted-for numbers above it. Reordering keeps it small;
 // packets destroyed before delivery (VOQ overflow, abandonment after
 // max retries, host crashes) are skip()ed so their holes close and the
 // base keeps advancing.
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <set>
 #include <vector>
 
 namespace lcf::clint {
@@ -56,23 +56,26 @@ public:
 
 private:
     struct Flow {
-        std::uint64_t base = 0;        // all seq < base are accounted for
-        std::set<std::uint64_t> ahead; // accounted-for seqs >= base
+        std::uint64_t base = 0;  // all seq < base are accounted for
+        std::vector<std::uint64_t> ahead;  // accounted-for seqs > base, sorted
     };
 
     /// Returns true when `seq` was not yet accounted for.
     static bool account(Flow& f, std::uint64_t seq) {
         if (seq < f.base) return false;
         if (seq == f.base) {
-            ++f.base;
-            for (auto it = f.ahead.begin();
-                 it != f.ahead.end() && *it == f.base;
-                 it = f.ahead.erase(it)) {
+            // The new base swallows the run of held numbers it reaches.
+            auto it = f.ahead.begin();
+            for (++f.base; it != f.ahead.end() && *it == f.base; ++it) {
                 ++f.base;
             }
+            f.ahead.erase(f.ahead.begin(), it);
             return true;
         }
-        return f.ahead.insert(seq).second;
+        const auto it = std::lower_bound(f.ahead.begin(), f.ahead.end(), seq);
+        if (it != f.ahead.end() && *it == seq) return false;
+        f.ahead.insert(it, seq);
+        return true;
     }
 
     std::vector<Flow> flows_;

@@ -128,30 +128,29 @@ double FaultInjector::extra_ber(LinkKind kind, std::size_t index,
                    [](const BitErrorEpoch& e) { return e.bit_error_rate; });
 }
 
-bool FaultInjector::transmit(LinkKind kind, std::size_t index,
-                             std::uint64_t slot,
-                             std::vector<std::uint8_t>& wire) {
-    if (packet_lost(kind, index, slot)) return false;
+std::optional<std::size_t> FaultInjector::transmit(
+    LinkKind kind, std::size_t index, std::uint64_t slot,
+    std::span<std::uint8_t> wire) {
+    if (packet_lost(kind, index, slot)) return std::nullopt;
     const double p_trunc =
         compose(plan_.packet_loss_epochs, kind, index, slot,
                 [](const PacketLossEpoch& e) { return e.truncation; });
     if (p_trunc > 0.0 && !wire.empty() &&
         rng_for(kind, index).next_bool(p_trunc)) {
         // Cut to a strictly shorter length, possibly zero bytes.
-        wire.resize(rng_for(kind, index).next_below(wire.size()));
+        wire = wire.first(rng_for(kind, index).next_below(wire.size()));
         ++counters_.packets_truncated;
     }
     const double ber = extra_ber(kind, index, slot);
     if (ber > 0.0 && !wire.empty()) {
         const std::uint64_t flips =
-            util::flip_bits({wire.data(), wire.size()}, ber,
-                            rng_for(kind, index));
+            util::flip_bits(wire, ber, rng_for(kind, index));
         if (flips > 0) {
             counters_.bits_flipped += flips;
             ++counters_.packets_corrupted;
         }
     }
-    return true;
+    return wire.size();
 }
 
 bool FaultInjector::packet_lost(LinkKind kind, std::size_t index,

@@ -76,11 +76,13 @@ public:
                                    std::uint64_t slot) const noexcept;
 
     /// Wire path: apply the plan's faults for this link and slot to
-    /// `wire` in place. Returns false when the packet is absorbed whole
-    /// (link down or a loss draw); otherwise the packet may have been
-    /// truncated and/or had epoch bit errors applied.
-    bool transmit(LinkKind kind, std::size_t index, std::uint64_t slot,
-                  std::vector<std::uint8_t>& wire);
+    /// `wire` in place. Returns nullopt when the packet is absorbed
+    /// whole (link down or a loss draw); otherwise the length that
+    /// arrives, shorter than `wire` when the packet was truncated. Epoch
+    /// bit errors are applied to the surviving `wire.first(length)`.
+    [[nodiscard]] std::optional<std::size_t> transmit(
+        LinkKind kind, std::size_t index, std::uint64_t slot,
+        std::span<std::uint8_t> wire);
 
     /// Abstract path, for payloads modelled by nominal size without
     /// materialised bytes: link-down check plus a whole-packet loss

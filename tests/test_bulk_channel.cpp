@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <string>
 
 #include "traffic/bernoulli.hpp"
@@ -15,6 +16,16 @@
 
 namespace lcf::clint {
 namespace {
+
+// The std::invalid_argument message `f` throws ("" when it does not).
+std::string invalid_argument_message(const std::function<void()>& f) {
+    try {
+        f();
+    } catch (const std::invalid_argument& e) {
+        return e.what();
+    }
+    return "";
+}
 
 BulkChannelConfig small_config() {
     BulkChannelConfig c;
@@ -311,6 +322,43 @@ TEST(BulkChannel, RejectsZeroVoqCapacity) {
                   std::string::npos)
             << e.what();
     }
+}
+
+// The host-indexed entry points range-check each argument and name it
+// in the message (small_config() has 4 hosts).
+TEST(BulkChannel, EnqueueMulticastRejectsHostOutOfRange) {
+    BulkChannelSim sim(small_config(),
+                       std::make_unique<traffic::BernoulliUniform>(0.1));
+    const std::string msg =
+        invalid_argument_message([&] { sim.enqueue_multicast(4, 0b0011); });
+    EXPECT_NE(msg.find("host"), std::string::npos) << msg;
+}
+
+TEST(BulkChannel, EnqueueMulticastRejectsTargetMaskOutOfRange) {
+    BulkChannelSim sim(small_config(),
+                       std::make_unique<traffic::BernoulliUniform>(0.1));
+    const std::string msg =
+        invalid_argument_message([&] { sim.enqueue_multicast(0, 0b10001); });
+    EXPECT_NE(msg.find("target_mask"), std::string::npos) << msg;
+    sim.enqueue_multicast(0, 0b1111);  // every real target is fine
+}
+
+TEST(BulkChannel, SetBulkEnableReportRejectsHostOutOfRange) {
+    BulkChannelSim sim(small_config(),
+                       std::make_unique<traffic::BernoulliUniform>(0.1));
+    const std::string msg = invalid_argument_message(
+        [&] { sim.set_bulk_enable_report(4, 0xFFFF); });
+    EXPECT_NE(msg.find("host"), std::string::npos) << msg;
+}
+
+TEST(BulkChannel, SetBulkEnableReportRejectsBenMaskOutOfRange) {
+    BulkChannelSim sim(small_config(),
+                       std::make_unique<traffic::BernoulliUniform>(0.1));
+    // Disabling initiator 4 of a 4-host channel names a missing host.
+    const std::string msg = invalid_argument_message(
+        [&] { sim.set_bulk_enable_report(0, 0xFFFF & ~(1U << 4)); });
+    EXPECT_NE(msg.find("ben_mask"), std::string::npos) << msg;
+    sim.set_bulk_enable_report(0, 0xFFFF & ~(1U << 3));  // a real one is fine
 }
 
 }  // namespace

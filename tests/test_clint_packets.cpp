@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "util/rng.hpp"
 
 namespace lcf::clint {
@@ -38,7 +40,8 @@ TEST(ConfigPacket, RejectsEverySingleBitCorruption) {
 }
 
 TEST(ConfigPacket, RejectsWrongLength) {
-    auto wire = ConfigPacket{}.encode();
+    const auto encoded = ConfigPacket{}.encode();
+    std::vector<std::uint8_t> wire(encoded.begin(), encoded.end());
     wire.push_back(0);
     EXPECT_FALSE(ConfigPacket::decode(wire).has_value());
     wire.resize(ConfigPacket::kWireSize - 1);
@@ -58,7 +61,7 @@ TEST(ConfigPacket, RejectsTruncatedEmptyAndOversizedWires) {
                                                        static_cast<std::ptrdiff_t>(len));
         EXPECT_FALSE(ConfigPacket::decode(cut).has_value()) << "len " << len;
     }
-    auto grown = wire;
+    std::vector<std::uint8_t> grown(wire.begin(), wire.end());
     grown.insert(grown.end(), 5, 0xAA);
     EXPECT_FALSE(ConfigPacket::decode(grown).has_value());
 }
@@ -72,7 +75,7 @@ TEST(GrantPacket, RejectsTruncatedEmptyAndOversizedWires) {
                                                        static_cast<std::ptrdiff_t>(len));
         EXPECT_FALSE(GrantPacket::decode(cut).has_value()) << "len " << len;
     }
-    auto grown = wire;
+    std::vector<std::uint8_t> grown(wire.begin(), wire.end());
     grown.push_back(0);
     EXPECT_FALSE(GrantPacket::decode(grown).has_value());
 }

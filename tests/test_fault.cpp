@@ -12,7 +12,9 @@
 
 #include <cmath>
 #include <functional>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "clint/bulk_channel.hpp"
 #include "clint/clint_sim.hpp"
@@ -101,9 +103,10 @@ TEST(FaultInjector, LinkDownAbsorbsOnlySelectedLinkAndInterval) {
     EXPECT_TRUE(inj.link_up(LinkKind::kDownlink, 1, 15));  // other kind
 
     std::vector<std::uint8_t> wire{1, 2, 3};
-    EXPECT_FALSE(inj.transmit(LinkKind::kUplink, 1, 15, wire));
+    EXPECT_FALSE(inj.transmit(LinkKind::kUplink, 1, 15, wire).has_value());
     EXPECT_EQ(inj.counters().packets_dropped, 1u);
-    EXPECT_TRUE(inj.transmit(LinkKind::kUplink, 1, 25, wire));
+    EXPECT_EQ(inj.transmit(LinkKind::kUplink, 1, 25, wire),
+              std::optional<std::size_t>{3});
     EXPECT_EQ(wire, (std::vector<std::uint8_t>{1, 2, 3}));
 }
 
@@ -114,7 +117,8 @@ TEST(FaultInjector, CertainLossAbsorbsEveryPacket) {
     inj.reset(2);
     std::vector<std::uint8_t> wire{0xAB};
     for (std::uint64_t s = 0; s < 50; ++s) {
-        EXPECT_FALSE(inj.transmit(LinkKind::kData, s % 2, s, wire));
+        EXPECT_FALSE(
+            inj.transmit(LinkKind::kData, s % 2, s, wire).has_value());
         EXPECT_TRUE(inj.packet_lost(LinkKind::kData, s % 2, s));
     }
     EXPECT_EQ(inj.counters().packets_dropped, 100u);
@@ -128,8 +132,9 @@ TEST(FaultInjector, CertainTruncationShortensStrictly) {
     inj.reset(1);
     for (int i = 0; i < 64; ++i) {
         std::vector<std::uint8_t> wire(11, 0xFF);
-        EXPECT_TRUE(inj.transmit(LinkKind::kDownlink, 0, 5, wire));
-        EXPECT_LT(wire.size(), 11u);  // strictly shorter, possibly empty
+        const auto length = inj.transmit(LinkKind::kDownlink, 0, 5, wire);
+        ASSERT_TRUE(length.has_value());
+        EXPECT_LT(*length, 11u);  // strictly shorter, possibly empty
     }
     EXPECT_EQ(inj.counters().packets_truncated, 64u);
 }
@@ -153,7 +158,8 @@ TEST(FaultInjector, EpochBitErrorsFlipWireBits) {
     FaultInjector inj(plan);
     inj.reset(1);
     std::vector<std::uint8_t> wire{0x0F, 0xF0};
-    EXPECT_TRUE(inj.transmit(LinkKind::kData, 0, 0, wire));
+    EXPECT_EQ(inj.transmit(LinkKind::kData, 0, 0, wire),
+              std::optional<std::size_t>{2});
     EXPECT_EQ(wire, (std::vector<std::uint8_t>{0xF0, 0x0F}));
     EXPECT_EQ(inj.counters().bits_flipped, 16u);
     EXPECT_EQ(inj.counters().packets_corrupted, 1u);
@@ -264,8 +270,8 @@ TEST(FaultInjector, SamePlanReplaysIdentically) {
     for (std::uint64_t s = 0; s < 500; ++s) {
         std::vector<std::uint8_t> wa(32, 0x5A);
         std::vector<std::uint8_t> wb(32, 0x5A);
-        const bool ra = a.transmit(LinkKind::kData, s % 4, s, wa);
-        const bool rb = b.transmit(LinkKind::kData, s % 4, s, wb);
+        const auto ra = a.transmit(LinkKind::kData, s % 4, s, wa);
+        const auto rb = b.transmit(LinkKind::kData, s % 4, s, wb);
         ASSERT_EQ(ra, rb) << "slot " << s;
         ASSERT_EQ(wa, wb) << "slot " << s;
     }

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <string>
 
 #include "clint/clint_sim.hpp"
 
@@ -16,6 +18,16 @@
 
 namespace lcf::clint {
 namespace {
+
+// The std::invalid_argument message `f` throws ("" when it does not).
+std::string invalid_argument_message(const std::function<void()>& f) {
+    try {
+        f();
+    } catch (const std::invalid_argument& e) {
+        return e.what();
+    }
+    return "";
+}
 
 QuickChannelConfig small_config() {
     QuickChannelConfig c;
@@ -172,6 +184,27 @@ TEST(QuickChannel, RejectsBadConfiguration) {
         std::invalid_argument);
     c.hosts = 4;
     EXPECT_THROW(QuickChannelSim(c, nullptr), std::invalid_argument);
+}
+
+// Each argument of inject_control() is range-checked and named: an
+// out-of-range target would otherwise index past the per-target winner
+// array.
+TEST(QuickChannel, InjectControlRejectsHostOutOfRange) {
+    QuickChannelSim sim(small_config(),
+                        std::make_unique<traffic::BernoulliUniform>(0.1));
+    const std::string msg =
+        invalid_argument_message([&] { sim.inject_control(4, 0); });
+    EXPECT_NE(msg.find("host"), std::string::npos) << msg;
+    sim.inject_control(3, 0);  // the last host is fine
+}
+
+TEST(QuickChannel, InjectControlRejectsTargetOutOfRange) {
+    QuickChannelSim sim(small_config(),
+                        std::make_unique<traffic::BernoulliUniform>(0.1));
+    const std::string msg =
+        invalid_argument_message([&] { sim.inject_control(0, 4); });
+    EXPECT_NE(msg.find("target"), std::string::npos) << msg;
+    sim.inject_control(0, 3);  // the last target is fine
 }
 
 TEST(ClintSim, CombinedRunProducesBothChannelResults) {
