@@ -11,6 +11,12 @@
 //   BM_SimThroughput/<scheduler>/<traffic>/<n>/<load%>
 // and each run reports items/sec == simulated slots/sec.
 //
+// Clint rows: BM_QuickChannel/<hosts> (16 and 256 hosts, uniform load
+// 0.5) and BM_BulkChannel/16 (uniform load 0.6, 8 retries with
+// exponential backoff), both at bit-error rate 1e-5. The quick channel
+// has no host limit, so its 256-host row is where arbitration that is
+// not linear in hosts would show.
+//
 // Usage: bench_sim_throughput [--json <path>] [google-benchmark flags...]
 // --json <path> is shorthand for
 // --benchmark_out=<path> --benchmark_out_format=json.
@@ -22,7 +28,10 @@
 #include <string_view>
 #include <vector>
 
+#include "clint/bulk_channel.hpp"
+#include "clint/quick_channel.hpp"
 #include "sim/runner.hpp"
+#include "traffic/traffic.hpp"
 
 namespace {
 
@@ -45,6 +54,42 @@ void run_sim_point(benchmark::State& state, const std::string& sched,
     for (auto _ : state) {
         const auto result =
             lcf::sim::run_named(sched, config, traffic, load, sched_config);
+        benchmark::DoNotOptimize(result);
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(kSlots));
+}
+
+void run_quick_point(benchmark::State& state, std::size_t hosts) {
+    lcf::clint::QuickChannelConfig config;
+    config.hosts = hosts;
+    config.slots = kSlots;
+    config.warmup_slots = kWarmup;
+    config.seed = 42;
+    config.bit_error_rate = 1e-5;
+    for (auto _ : state) {
+        lcf::clint::QuickChannelSim sim(
+            config, lcf::traffic::make_traffic("uniform", 0.5));
+        const auto result = sim.run();
+        benchmark::DoNotOptimize(result);
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(kSlots));
+}
+
+void run_bulk_point(benchmark::State& state, std::size_t hosts) {
+    lcf::clint::BulkChannelConfig config;
+    config.hosts = hosts;
+    config.slots = kSlots;
+    config.warmup_slots = kWarmup;
+    config.seed = 42;
+    config.bit_error_rate = 1e-5;
+    config.max_retries = 8;
+    config.exponential_backoff = true;
+    for (auto _ : state) {
+        lcf::clint::BulkChannelSim sim(
+            config, lcf::traffic::make_traffic("uniform", 0.6));
+        const auto result = sim.run();
         benchmark::DoNotOptimize(result);
     }
     state.SetItemsProcessed(state.iterations() *
@@ -75,6 +120,16 @@ void register_grid() {
             }
         }
     }
+    for (const std::size_t hosts : {std::size_t{16}, std::size_t{256}}) {
+        benchmark::RegisterBenchmark(
+            ("BM_QuickChannel/" + std::to_string(hosts)).c_str(),
+            [hosts](benchmark::State& state) { run_quick_point(state, hosts); })
+            ->Unit(benchmark::kMillisecond);
+    }
+    benchmark::RegisterBenchmark(
+        "BM_BulkChannel/16",
+        [](benchmark::State& state) { run_bulk_point(state, 16); })
+        ->Unit(benchmark::kMillisecond);
 }
 
 }  // namespace

@@ -52,8 +52,9 @@ BENCHES = {
     "sim_throughput": {
         "binary": "bench_sim_throughput",
         "output": "BENCH_sim_throughput.json",
-        "workload": "whole SwitchSim runs, 2048 slots (256 warmup), "
-                    "seed 42, scheduler iterations 4",
+        "workload": "whole SwitchSim runs and Clint bulk/quick channel "
+                    "runs, 2048 slots (256 warmup), seed 42, scheduler "
+                    "iterations 4",
     },
 }
 

@@ -41,9 +41,13 @@ run_gate "$BUILD_DIR/bench/bench_sched_speed" \
     "$REPO_ROOT/BENCH_sched_speed.json" '/(16|64)$' 0.05
 
 # End-to-end: slots/sec at n in {16, 64}, load 0.9 (the n=256 points are
-# too slow for a smoke job; the committed baseline still records them).
+# too slow for a smoke job; the committed baseline still records them),
+# plus the Clint bulk and quick channels. BM_QuickChannel/256 is the gate
+# against quick-channel arbitration that is quadratic in hosts: a
+# hosts^2 scan there costs 65k iterations per slot.
 run_gate "$BUILD_DIR/bench/bench_sim_throughput" \
-    "$REPO_ROOT/BENCH_sim_throughput.json" '/(16|64)/90$' 0.05
+    "$REPO_ROOT/BENCH_sim_throughput.json" \
+    '/(16|64)/90$|^BM_(Quick|Bulk)Channel/' 0.05
 
 # Memory: VOQ storage must follow buffered packets, not ports². The n=256
 # VOQ workload may peak at most 10 MB above the 16-port sweep (binary,
