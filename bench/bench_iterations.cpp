@@ -138,11 +138,12 @@ int main(int argc, char** argv) {
         lcf::sched::Matching m;
         for (int trial = 0; trial < kTrials; ++trial) {
             lcf::sched::RequestMatrix r(ports);
+            lcf::util::BitVec row(ports);
             for (std::size_t i = 0; i < ports; ++i) {
-                auto& row = r.row(i);
                 for (std::size_t wi = 0; wi < row.word_count(); ++wi) {
                     row.set_word(wi, rng.next_bernoulli_word(0.35));
                 }
+                r.assign_row(i, row);
             }
             for (std::size_t k = 0; k < scheds.size(); ++k) {
                 scheds[k]->schedule(r, m);

@@ -36,13 +36,14 @@ std::vector<RequestMatrix> make_inputs(std::size_t n, double density,
     inputs.reserve(count);
     for (std::size_t k = 0; k < count; ++k) {
         RequestMatrix r(n);
+        lcf::util::BitVec row(n);
         for (std::size_t i = 0; i < n; ++i) {
             // 64 Bernoulli(density) bits per draw; set_word() trims the
             // bits beyond the row length.
-            auto& row = r.row(i);
             for (std::size_t wi = 0; wi < row.word_count(); ++wi) {
                 row.set_word(wi, rng.next_bernoulli_word(density));
             }
+            r.assign_row(i, row);
         }
         inputs.push_back(std::move(r));
     }

@@ -306,9 +306,9 @@ void BulkChannelSim::step_scheduling() {
     const std::size_t n = config_.hosts;
     if (requests_.inputs() != n) {  // first slot: size the scratch
         requests_ = sched::RequestMatrix(n);
+        req_row_ = util::BitVec(n);
         precalc_ = core::PrecalcSchedule(n);
     }
-    requests_.clear();
     precalc_.clear();
     decoded_cfgs_.assign(n, std::nullopt);
     std::uint16_t ben_consensus = 0xFFFF;
@@ -347,18 +347,19 @@ void BulkChannelSim::step_scheduling() {
     // is fenced — its requests and precalculated claims are ignored.
     fenced_mask_ = static_cast<std::uint16_t>(~ben_consensus);
     // Degraded-mode scheduling: crashed targets are masked out of the
-    // requests and the precalculated claims (the hosts fit one word).
+    // requests and the precalculated claims (the hosts fit one word); a
+    // crashed host was never heard, so its own row is empty.
     const std::uint64_t down = injector_ ? injector_->down_hosts().word(0) : 0;
     for (std::size_t h = 0; h < n; ++h) {
-        if (!decoded_cfgs_[h]) continue;
-        if (fenced_mask_ & (1U << h)) continue;
+        const bool heard = decoded_cfgs_[h] && !(fenced_mask_ & (1U << h));
+        req_row_.set_word(0, heard ? decoded_cfgs_[h]->req & ~down : 0U);
+        requests_.assign_row(h, req_row_);
+        if (!heard) continue;
         const std::uint64_t pre = decoded_cfgs_[h]->pre & ~down;
         for (std::size_t j = 0; j < n; ++j) {
-            if (decoded_cfgs_[h]->req & (1U << j)) requests_.set(h, j);
             if (pre & (1U << j)) precalc_.claim(h, j);
         }
     }
-    if (injector_) requests_.mask_down_ports(injector_->down_hosts());
 
     scheduler_.schedule_with_precalc(requests_, precalc_, schedule_);
     // Observe only the unicast matching: every one of its grants is

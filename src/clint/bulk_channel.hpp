@@ -252,8 +252,9 @@ private:
     std::vector<bool> switch_crc_flag_;  // CRCErr to report per host
     std::vector<bool> switch_link_flag_;  // linkErr to report per host
     // Per-slot scheduling scratch: sized by the first step_scheduling(),
-    // which keeps construction cheap, and cleared every slot after that.
+    // which keeps construction cheap, and rewritten every slot after that.
     sched::RequestMatrix requests_;
+    util::BitVec req_row_;  // one host's `req` word as a request row
     core::PrecalcSchedule precalc_;
     core::MulticastResult schedule_;
     std::vector<std::optional<ConfigPacket>> decoded_cfgs_;

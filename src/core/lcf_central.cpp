@@ -88,9 +88,9 @@ void LcfCentralScheduler::run_lcf(const sched::RequestMatrix& requests,
     if (n_in_ != n_in || n_out_ != n_out) ensure_scratch(n_in, n_out);
 
     // Everyone not consumed by a precalculated stage competes; NRQ
-    // starts as the (masked) row popcount. The request matrix itself is
-    // never copied — candidate sets come from its lazily maintained
-    // column view, masked by free_inputs_.
+    // starts as the row count (a popcount only when busy outputs mask
+    // the row). The request matrix itself is never copied — candidate
+    // sets come from its column view, masked by free_inputs_.
     free_inputs_.fill();
     if (busy_inputs != nullptr) free_inputs_.subtract(*busy_inputs);
     for (std::size_t i = 0; i < n_in; ++i) {
@@ -100,7 +100,7 @@ void LcfCentralScheduler::run_lcf(const sched::RequestMatrix& requests,
             masked_row_.assign_subtract(requests.row(i), *busy_outputs);
             nrq_[i] = masked_row_.count();
         } else {
-            nrq_[i] = requests.row(i).count();
+            nrq_[i] = requests.row_count(i);
         }
     }
 
@@ -160,33 +160,16 @@ void LcfCentralScheduler::schedule_with_precalc(
     // target claimed by several inputs is a violation: the first claimant
     // in the rotating priority order is accepted, the rest are dropped
     // (§4.3: "one request is accepted and the remaining ones are
-    // dropped"). One transpose of the claim rows replaces the per-target
-    // rotated scan over all inputs: each target's claimants are walked in
-    // rotated order directly from its column's set bits.
+    // dropped"). Each target's claimants are walked in rotated order
+    // directly from the claim matrix's column.
     if (n_in_ != n_in || n_out_ != n_out) ensure_scratch(n_in, n_out);
     busy_inputs_.clear();
     busy_outputs_.clear();
-    if (precalc_cols_.size() != n_out ||
-        (n_out > 0 && precalc_cols_[0].size() != n_in)) {
-        precalc_cols_.assign(n_out, util::BitVec(n_in));
-    } else {
-        for (auto& c : precalc_cols_) c.clear();
-    }
-    for (std::size_t i = 0; i < n_in; ++i) {
-        for (const std::size_t j : precalc.row(i).set_bits()) {
-            precalc_cols_[j].set(i);
-        }
-    }
     const std::size_t rot0 = n_in == 0 ? 0 : rr_input_ % n_in;
     for (std::size_t j = 0; j < n_out; ++j) {
-        if (precalc_cols_[j].none()) continue;
-        rot_scratch_.clear();
-        for (const std::size_t i : precalc_cols_[j].set_bits()) {
-            rot_scratch_.push_back(i);
-        }
         // Rotated order from the diagonal anchor: indices >= rot0 first.
         for (const int pass : {0, 1}) {
-            for (const std::size_t i : rot_scratch_) {
+            for (const std::size_t i : precalc.col(j).set_bits()) {
                 if ((i >= rot0) != (pass == 0)) continue;
                 if (out.fanout[j] == sched::kUnmatched) {
                     out.fanout[j] = static_cast<std::int32_t>(i);

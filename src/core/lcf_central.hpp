@@ -86,8 +86,8 @@ private:
     /// schedule_with_precalc(). `busy_*` marks ports consumed by stage 1.
     ///
     /// Word-parallel formulation: instead of consumable per-bit request
-    /// copies, a free-inputs bit vector plus the request matrix's lazily
-    /// maintained column view reduce each output's candidate set to one
+    /// copies, a free-inputs bit vector plus the request matrix's column
+    /// view reduce each output's candidate set to one
     /// masked AND (`col ∩ free_inputs`); the winner is the candidate
     /// minimizing (NRQ, rotated rank) in one walk of the candidate
     /// word's set bits — exactly the rotating tie-break chain, with no
@@ -118,8 +118,6 @@ private:
     // schedule_with_precalc() stage-1 scratch.
     util::BitVec busy_inputs_;         // inputs that won a precalc claim
     util::BitVec busy_outputs_;        // outputs a precalc claim took
-    std::vector<util::BitVec> precalc_cols_;
-    std::vector<std::size_t> rot_scratch_;
 };
 
 }  // namespace lcf::core

@@ -2,16 +2,6 @@
 
 namespace lcf::core {
 
-PrecalcSchedule::PrecalcSchedule(std::size_t inputs, std::size_t outputs)
-    : rows_(inputs, util::BitVec(outputs)), outputs_(outputs) {}
-
-bool PrecalcSchedule::empty() const noexcept {
-    for (const auto& r : rows_) {
-        if (r.any()) return false;
-    }
-    return true;
-}
-
 std::size_t MulticastResult::connections() const noexcept {
     std::size_t n = 0;
     for (const auto v : fanout) {

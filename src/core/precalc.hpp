@@ -10,43 +10,46 @@
 #include <vector>
 
 #include "sched/matching.hpp"
-#include "util/bitvec.hpp"
+#include "sched/request_matrix.hpp"
 
 namespace lcf::core {
 
 /// A precalculated schedule: for each input, the set of outputs it claims
 /// this slot. A row with more than one bit is a multicast connection.
+/// Held as a claim matrix, so each target's claimants are a column.
 class PrecalcSchedule {
 public:
     PrecalcSchedule() = default;
     /// Empty schedule over `inputs` × `outputs` ports.
-    PrecalcSchedule(std::size_t inputs, std::size_t outputs);
+    PrecalcSchedule(std::size_t inputs, std::size_t outputs)
+        : claims_(inputs, outputs) {}
     explicit PrecalcSchedule(std::size_t ports)
         : PrecalcSchedule(ports, ports) {}
 
-    [[nodiscard]] std::size_t inputs() const noexcept { return rows_.size(); }
-    [[nodiscard]] std::size_t outputs() const noexcept { return outputs_; }
+    [[nodiscard]] std::size_t inputs() const noexcept { return claims_.inputs(); }
+    [[nodiscard]] std::size_t outputs() const noexcept { return claims_.outputs(); }
 
     /// Claim output `output` for input `input`.
     void claim(std::size_t input, std::size_t output) noexcept {
-        rows_[input].set(output);
+        claims_.set(input, output);
     }
     [[nodiscard]] bool claimed(std::size_t input, std::size_t output) const noexcept {
-        return rows_[input].test(output);
+        return claims_.get(input, output);
     }
     [[nodiscard]] const util::BitVec& row(std::size_t input) const noexcept {
-        return rows_[input];
+        return claims_.row(input);
+    }
+    /// The inputs claiming output `output`.
+    [[nodiscard]] const util::BitVec& col(std::size_t output) const noexcept {
+        return claims_.col(output);
     }
     /// True when no input claims any output.
-    [[nodiscard]] bool empty() const noexcept;
+    [[nodiscard]] bool empty() const noexcept { return claims_.total() == 0; }
     /// Withdraw every claim.
-    void clear() noexcept {
-        for (auto& r : rows_) r.clear();
-    }
+    void clear() noexcept { claims_.clear(); }
 
 private:
-    std::vector<util::BitVec> rows_;
-    std::size_t outputs_ = 0;
+    sched::RequestMatrix claims_;
 };
 
 /// Result of a two-stage (precalculated + LCF) scheduling cycle.

@@ -1,53 +1,52 @@
 #include "sched/request_matrix.hpp"
 
+#include <bit>
+
 namespace lcf::sched {
 
 RequestMatrix::RequestMatrix(std::size_t inputs, std::size_t outputs)
-    : rows_(inputs, util::BitVec(outputs)), outputs_(outputs) {}
+    : rows_(inputs, util::BitVec(outputs)),
+      cols_(outputs, util::BitVec(inputs)),
+      row_counts_(inputs, 0) {}
+
+void RequestMatrix::set_masked(std::size_t input, std::size_t wi,
+                               std::uint64_t mask, bool value) noexcept {
+    for (; mask != 0; mask &= mask - 1) {
+        set(input,
+            wi * util::BitVec::kWordBits +
+                static_cast<std::size_t>(std::countr_zero(mask)),
+            value);
+    }
+}
+
+void RequestMatrix::assign_row(std::size_t input,
+                               const util::BitVec& bits) noexcept {
+    const util::BitVec& row = rows_[input];
+    for (std::size_t wi = 0; wi < row.word_count(); ++wi) {
+        const std::uint64_t old_word = row.word(wi);
+        const std::uint64_t new_word = bits.word(wi);
+        set_masked(input, wi, old_word & ~new_word, false);
+        set_masked(input, wi, new_word & ~old_word, true);
+    }
+}
 
 void RequestMatrix::clear() noexcept {
     for (auto& r : rows_) r.clear();
-    if (cols_valid_) {
-        for (auto& c : cols_) c.clear();
-    }
+    for (auto& c : cols_) c.clear();
+    for (auto& n : row_counts_) n = 0;
+    total_ = 0;
 }
 
 void RequestMatrix::mask_down_ports(const util::BitVec& down) noexcept {
     if (down.none()) return;
-    cols_valid_ = false;
     for (std::size_t i = 0; i < rows_.size(); ++i) {
-        if (down.test(i)) {
-            rows_[i].clear();
-        } else {
-            rows_[i].subtract(down);
+        const bool row_down = down.test(i);
+        for (std::size_t wi = 0; wi < rows_[i].word_count(); ++wi) {
+            const std::uint64_t gone =
+                row_down ? rows_[i].word(wi) : rows_[i].word(wi) & down.word(wi);
+            set_masked(i, wi, gone, false);
         }
     }
-}
-
-void RequestMatrix::rebuild_columns() const {
-    const std::size_t n_in = rows_.size();
-    if (cols_.size() != outputs_ ||
-        (outputs_ > 0 && cols_[0].size() != n_in)) {
-        cols_.assign(outputs_, util::BitVec(n_in));
-    } else {
-        for (auto& c : cols_) c.clear();
-    }
-    for (std::size_t i = 0; i < n_in; ++i) {
-        for (const std::size_t j : rows_[i].set_bits()) {
-            cols_[j].set(i);
-        }
-    }
-    cols_valid_ = true;
-}
-
-std::size_t RequestMatrix::col_count(std::size_t output) const noexcept {
-    return col(output).count();
-}
-
-std::size_t RequestMatrix::total() const noexcept {
-    std::size_t n = 0;
-    for (const auto& r : rows_) n += r.count();
-    return n;
 }
 
 RequestMatrix make_requests(

@@ -115,12 +115,18 @@ bool SwitchSim::stalled() {
 }
 
 std::size_t SwitchSim::schedule() {
-    // Degraded mode: crashed ports vanish from the request matrix.
-    if (injector_) requests_.mask_down_ports(injector_->down_hosts());
-    scheduler_->schedule(requests_, matching_);
-    assert(matching_.valid_for(requests_));
+    // Degraded mode: crashed ports vanish from a masked copy, so
+    // requests_ itself keeps mirroring the queues.
+    const sched::RequestMatrix* requests = &requests_;
+    if (injector_ && injector_->down_hosts().any()) {
+        masked_ = requests_;
+        masked_.mask_down_ports(injector_->down_hosts());
+        requests = &masked_;
+    }
+    scheduler_->schedule(*requests, matching_);
+    assert(matching_.valid_for(*requests));
     const std::size_t offered = observer_.observe(
-        requests_, matching_, scheduler_->last_iterations());
+        *requests, matching_, scheduler_->last_iterations());
     apply_fabric();
     return offered;
 }
@@ -181,6 +187,7 @@ void SwitchSim::step_voq_mode() {
                !voqs_[i].full(pq.front().destination)) {
             const std::size_t dst = pq.front().destination;
             voqs_[i].push(pq.pop());
+            requests_.set(i, dst);
             if (track_queue_lengths_) {
                 ++queue_lengths_[i * config_.ports + dst];
             }
@@ -189,14 +196,9 @@ void SwitchSim::step_voq_mode() {
 
     const bool stall = stalled();
     for (std::size_t phase = 0; !stall && phase < config_.speedup; ++phase) {
-        // Request matrix from VOQ occupancy: a word copy of each bank's
-        // incrementally maintained occupancy vector.
-        for (std::size_t i = 0; i < config_.ports; ++i) {
-            requests_.row(i) = voqs_[i].occupancy();
-        }
-        // Weight-aware schedulers (iLQF) additionally see the occupancy
-        // counts behind the request bits (maintained at push/pop, not
-        // gathered here).
+        // requests_ already mirrors the VOQs (set at push, cleared by the
+        // pop that empties a queue). Weight-aware schedulers (iLQF) also
+        // see the occupancy counts behind its bits, likewise maintained.
         if (track_queue_lengths_) {
             scheduler_->observe_queue_lengths(queue_lengths_, config_.ports);
         }
@@ -228,6 +230,7 @@ void SwitchSim::step_voq_mode() {
             } else {
                 continue;  // full output buffer leaves the packet in its VOQ
             }
+            if (bank.empty(j)) requests_.set(static_cast<std::size_t>(i), j, false);
             if (track_queue_lengths_) {
                 --queue_lengths_[static_cast<std::size_t>(i) * config_.ports + j];
             }
@@ -280,6 +283,22 @@ void SwitchSim::step() {
             "SwitchSim: generated != delivered + queued + dropped after slot " +
             std::to_string(slot_ - 1));
     }
+    if (config_.paranoid && !requests_mirror_voqs()) {
+        throw std::logic_error(
+            "SwitchSim: request matrix does not mirror the VOQs after slot " +
+            std::to_string(slot_ - 1));
+    }
+}
+
+bool SwitchSim::requests_mirror_voqs() const {
+    // kVoq: R(t) = 1[Q(t) > 0]. RequestMatrix's == compares every view
+    // (rows, columns, row counts, total) against a fresh build.
+    if (config_.mode != SwitchMode::kVoq) return true;
+    sched::RequestMatrix expected(config_.ports);
+    for (std::size_t i = 0; i < config_.ports; ++i) {
+        expected.assign_row(i, voqs_[i].occupancy());
+    }
+    return requests_ == expected;
 }
 
 Accounting SwitchSim::accounting() const noexcept {

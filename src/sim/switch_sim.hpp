@@ -77,7 +77,8 @@ struct SimConfig {
     /// rotating-diagonal variants additionally get the §3 fairness check
     /// (granted within n² cycles under a continuously asserted request),
     /// iterative matchers their iteration-budget check. step() also
-    /// throws std::logic_error when accounting() stops balancing.
+    /// throws std::logic_error when accounting() stops balancing or,
+    /// in kVoq mode, when the request matrix stops mirroring the VOQs.
     bool paranoid = false;
     /// When > 0, keep an obs::SchedTrace ring of the most recent
     /// `trace_capacity` scheduling cycles, accessible via
@@ -164,6 +165,8 @@ private:
     /// Mask crashed ports, schedule, and observe the scheduler's own
     /// matching (before the fabric drops any). Returns the requests.
     std::size_t schedule();
+    /// Paranoid check that (kVoq) requests_ mirrors the VOQs exactly.
+    [[nodiscard]] bool requests_mirror_voqs() const;
 
     SimConfig config_;
     std::unique_ptr<sched::Scheduler> scheduler_;
@@ -174,7 +177,9 @@ private:
     std::vector<VoqBank> voqs_;               // kVoq only
     std::vector<PacketQueue> output_buffers_; // kOutputBuffered only
 
+    // kVoq: mirrors the VOQs bit by bit. kFifo: rebuilt every slot.
     sched::RequestMatrix requests_;
+    sched::RequestMatrix masked_;  // requests_ minus crashed ports
     sched::Matching matching_;
     // Per-slot arrival destinations, filled by one batched
     // traffic_->arrivals() call instead of ports virtual calls per slot.

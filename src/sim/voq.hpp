@@ -23,9 +23,8 @@ namespace lcf::sim {
 /// occupancy and recently freed nodes are reused while still in cache.
 ///
 /// The occupancy bit vector is maintained incrementally on push()/pop()
-/// (one bit flip when a queue transitions empty <-> non-empty), so the
-/// simulator's per-phase request-matrix rebuild is a word copy instead
-/// of n per-queue emptiness probes.
+/// (one bit flip when a queue transitions empty <-> non-empty); the
+/// simulator mirrors the same transitions into its request matrix.
 class VoqBank {
 public:
     /// Bound on outputs × capacity: node indices are 32-bit, with the

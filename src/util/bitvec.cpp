@@ -45,11 +45,7 @@ void BitVec::set_word(std::size_t wi, std::uint64_t bits) noexcept {
     if (wi + 1 == words_.size()) trim();
 }
 
-std::size_t BitVec::count() const noexcept {
-    std::size_t total = 0;
-    for (const auto w : words_) total += static_cast<std::size_t>(std::popcount(w));
-    return total;
-}
+std::size_t BitVec::count() const noexcept { return and_count(*this); }  // w & w = w
 
 bool BitVec::none() const noexcept {
     for (const auto w : words_) {
@@ -112,10 +108,15 @@ std::size_t BitVec::find_first_from(std::size_t pos) const noexcept {
 
 std::size_t BitVec::and_count(const BitVec& other) const noexcept {
     LCF_BITVEC_ASSERT(size_ == other.size_);
+    // Branch-free SWAR popcount: for the baseline x86-64 target (no
+    // -mpopcnt) g++ lowers std::popcount to a libgcc call per word.
     std::size_t total = 0;
     for (std::size_t i = 0; i < words_.size(); ++i) {
-        total += static_cast<std::size_t>(
-            std::popcount(words_[i] & other.words_[i]));
+        std::uint64_t w = words_[i] & other.words_[i];
+        w -= (w >> 1) & 0x5555555555555555ULL;
+        w = (w & 0x3333333333333333ULL) + ((w >> 2) & 0x3333333333333333ULL);
+        w = (w + (w >> 4)) & 0x0F0F0F0F0F0F0F0FULL;
+        total += static_cast<std::size_t>((w * 0x0101010101010101ULL) >> 56);
     }
     return total;
 }

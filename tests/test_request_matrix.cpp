@@ -1,9 +1,15 @@
 // Tests for RequestMatrix: bit accounting, row/column counts (NRQ/NGT),
-// and the test-helper constructor.
+// the test-helper constructor, and a differential run of every mutation
+// against a naive model.
 
 #include "sched/request_matrix.hpp"
 
 #include <gtest/gtest.h>
+
+#include <cstddef>
+#include <vector>
+
+#include "util/rng.hpp"
 
 namespace lcf::sched {
 namespace {
@@ -85,7 +91,9 @@ TEST(RequestMatrix, Equality) {
 
 TEST(RequestMatrix, MutableRowAccess) {
     RequestMatrix m(4);
-    m.row(1).set(3);
+    util::BitVec row(4);
+    row.set(3);
+    m.assign_row(1, row);
     EXPECT_TRUE(m.get(1, 3));
 }
 
@@ -130,9 +138,12 @@ TEST(RequestMatrix, ColumnViewInvalidatedByMutableRow) {
     RequestMatrix m(4);
     m.set(0, 1);
     EXPECT_TRUE(m.col(1).test(0));
-    // Writing through the row view bypasses set(); col() must rebuild.
-    m.row(2).set(1);
-    m.row(0).reset(1);
+    // Whole-row writes go through assign_row(), which keeps the columns
+    // in step bit by bit.
+    util::BitVec row(4);
+    row.set(1);
+    m.assign_row(2, row);
+    m.assign_row(0, util::BitVec(4));
     EXPECT_TRUE(m.col(1).test(2));
     EXPECT_FALSE(m.col(1).test(0));
     EXPECT_EQ(m.col_count(1), 1u);
@@ -141,10 +152,102 @@ TEST(RequestMatrix, ColumnViewInvalidatedByMutableRow) {
 TEST(RequestMatrix, EqualityIgnoresColumnCacheState) {
     RequestMatrix a(4), b(4);
     a.set(1, 3);
-    b.set(1, 3);
-    (void)a.col(3);  // a has a materialized column view, b does not
+    util::BitVec row(4);
+    row.set(3);
+    b.assign_row(1, row);  // the same bits, reached through a row write
+    (void)a.col(3);
     EXPECT_EQ(a, b);
     EXPECT_EQ(b, a);
+}
+
+// Seeded random set/assign_row/mask_down_ports/clear operations, checked
+// after every operation against a std::vector<bool> model: every bit
+// through rows and columns, row_count (NRQ), col_count (NGT), total, and
+// equality with a matrix rebuilt from the model.
+TEST(RequestMatrix, MatchesNaiveModel) {
+    struct Shape {
+        std::size_t inputs;
+        std::size_t outputs;
+    };
+    for (const Shape s : {Shape{1, 1}, Shape{13, 13}, Shape{67, 67},
+                          Shape{12, 20}, Shape{20, 12}}) {
+        RequestMatrix m(s.inputs, s.outputs);
+        std::vector<bool> model(s.inputs * s.outputs, false);
+        util::Xoshiro256 rng(20261018 + s.inputs * 100 + s.outputs);
+        util::BitVec row(s.outputs);
+        util::BitVec down(s.inputs);
+        const bool square = s.inputs == s.outputs;
+
+        const auto check_state = [&](std::size_t op) {
+            RequestMatrix rebuilt(s.inputs, s.outputs);
+            std::size_t total = 0;
+            std::vector<std::size_t> col_counts(s.outputs, 0);
+            for (std::size_t i = 0; i < s.inputs; ++i) {
+                std::size_t row_count = 0;
+                for (std::size_t j = 0; j < s.outputs; ++j) {
+                    const bool bit = model[i * s.outputs + j];
+                    ASSERT_EQ(m.get(i, j), bit) << "op " << op;
+                    ASSERT_EQ(m.row(i).test(j), bit) << "op " << op;
+                    ASSERT_EQ(m.col(j).test(i), bit) << "op " << op;
+                    if (bit) {
+                        rebuilt.set(i, j);
+                        ++row_count;
+                        ++col_counts[j];
+                    }
+                }
+                ASSERT_EQ(m.row_count(i), row_count) << "op " << op;
+                total += row_count;
+            }
+            for (std::size_t j = 0; j < s.outputs; ++j) {
+                ASSERT_EQ(m.col_count(j), col_counts[j]) << "op " << op;
+            }
+            ASSERT_EQ(m.total(), total) << "op " << op;
+            ASSERT_EQ(m, rebuilt) << "op " << op;
+        };
+
+        std::size_t masks = 0;
+        for (std::size_t op = 0; op < 4000; ++op) {
+            const std::uint64_t kind = rng.next_below(100);
+            if (kind < 60) {
+                const auto i = static_cast<std::size_t>(rng.next_below(s.inputs));
+                const auto j = static_cast<std::size_t>(rng.next_below(s.outputs));
+                const bool value = rng.next_bool(0.6);
+                m.set(i, j, value);
+                model[i * s.outputs + j] = value;
+            } else if (kind < 90) {
+                const auto i = static_cast<std::size_t>(rng.next_below(s.inputs));
+                const double density = rng.next_double();
+                for (std::size_t wi = 0; wi < row.word_count(); ++wi) {
+                    row.set_word(wi, rng.next_bernoulli_word(density));
+                }
+                m.assign_row(i, row);
+                for (std::size_t j = 0; j < s.outputs; ++j) {
+                    model[i * s.outputs + j] = row.test(j);
+                }
+            } else if (kind < 99) {
+                if (!square) continue;
+                down.clear();
+                for (std::size_t k = 0; k < 1 + s.inputs / 8; ++k) {
+                    down.set(static_cast<std::size_t>(rng.next_below(s.inputs)));
+                }
+                m.mask_down_ports(down);
+                for (std::size_t i = 0; i < s.inputs; ++i) {
+                    for (std::size_t j = 0; j < s.outputs; ++j) {
+                        if (down.test(i) || down.test(j)) {
+                            model[i * s.outputs + j] = false;
+                        }
+                    }
+                }
+                ++masks;
+            } else {
+                m.clear();
+                model.assign(model.size(), false);
+            }
+            ASSERT_NO_FATAL_FAILURE(check_state(op))
+                << s.inputs << "x" << s.outputs;
+        }
+        EXPECT_EQ(masks > 0, square);
+    }
 }
 
 }  // namespace

@@ -44,11 +44,12 @@ constexpr double kDensities[] = {0.0, 0.05, 0.2, 0.35, 0.6, 0.9, 1.0};
 sched::RequestMatrix random_requests(util::Xoshiro256& rng,
                                      const Geometry& g, double density) {
     sched::RequestMatrix r(g.inputs, g.outputs);
+    util::BitVec row(g.outputs);
     for (std::size_t i = 0; i < g.inputs; ++i) {
-        auto& row = r.row(i);
         for (std::size_t wi = 0; wi < row.word_count(); ++wi) {
             row.set_word(wi, rng.next_bernoulli_word(density));
         }
+        r.assign_row(i, row);
     }
     return r;
 }

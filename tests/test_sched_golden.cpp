@@ -167,15 +167,16 @@ std::uint64_t run_digest(const Pin& pin) {
     util::Xoshiro256 rng(kSeed * 1009 + pin.inputs * 31 + pin.outputs);
     std::vector<std::uint32_t> lengths(pin.inputs * pin.outputs);
     sched::RequestMatrix r(pin.inputs, pin.outputs);
+    util::BitVec row(pin.outputs);
     sched::Matching m;
     std::uint64_t h = 0;
     for (std::size_t cycle = 0; cycle < kCycles; ++cycle) {
         const double density = kDensities[cycle % std::size(kDensities)];
         for (std::size_t i = 0; i < pin.inputs; ++i) {
-            auto& row = r.row(i);
             for (std::size_t wi = 0; wi < row.word_count(); ++wi) {
                 row.set_word(wi, rng.next_bernoulli_word(density));
             }
+            r.assign_row(i, row);
         }
         if (s->wants_queue_lengths()) {
             for (auto& l : lengths) {

@@ -164,6 +164,48 @@ TEST(SwitchSim, PacketConservation) {
     }
 }
 
+TEST(SwitchSim, RequestMatrixMirrorsVoqs) {
+    // The kVoq request matrix is updated only as queues turn empty or
+    // non-empty; paranoid step() throws the slot where R(t) != 1[Q(t) > 0]
+    // or a column, row count or total drifts. Speedup 2 pops in two
+    // phases per slot, the blocking Clos fabric leaves matched packets
+    // queued, and the crash schedules from a masked copy while the
+    // mirror keeps the crashed port's queues.
+    for (const std::size_t speedup : {1U, 2U}) {
+        for (const std::size_t clos_middle : {0U, 2U}) {
+            for (const bool faults : {false, true}) {
+                for (const char* name : {"lcf_central", "islip"}) {
+                    SimConfig c;
+                    c.ports = 8;
+                    c.slots = 3000;
+                    c.warmup_slots = 0;
+                    c.speedup = speedup;
+                    c.clos_middle = clos_middle;
+                    c.pq_capacity = c.outbuf_capacity = 4;
+                    c.voq_capacity = 2;
+                    c.paranoid = true;
+                    if (faults) {
+                        c.fault_plan.add_host_crash(2, 500, 1500);
+                        c.fault_plan.add_scheduler_stall(800, 900);
+                    }
+                    SwitchSim sim(c, core::make_scheduler(name),
+                                  std::make_unique<traffic::BernoulliUniform>(0.9));
+                    EXPECT_NO_THROW(sim.run())
+                        << name << " s=" << speedup << " clos=" << clos_middle
+                        << " faults=" << faults;
+                    const SimResult r = sim.result();
+                    EXPECT_EQ(r.sched.paranoid_violations, 0u) << name;
+                    EXPECT_GT(r.delivered, 0u) << name;
+                    if (faults) {
+                        EXPECT_GT(r.faults.crashes, 0u) << name;
+                        EXPECT_GT(r.faults.stalled_slots, 0u) << name;
+                    }
+                }
+            }
+        }
+    }
+}
+
 TEST(SwitchSim, DropsWhenPacketQueueOverflows) {
     // One-entry VOQs and a tiny PQ, saturated input: drops must occur
     // and be counted.

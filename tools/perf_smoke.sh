@@ -40,14 +40,18 @@ run_gate() {
 run_gate "$BUILD_DIR/bench/bench_sched_speed" \
     "$REPO_ROOT/BENCH_sched_speed.json" '/(16|64)$' 0.05
 
-# End-to-end: slots/sec at n in {16, 64}, load 0.9 (the n=256 points are
-# too slow for a smoke job; the committed baseline still records them),
-# plus the Clint bulk and quick channels. BM_QuickChannel/256 is the gate
-# against quick-channel arbitration that is quadratic in hosts: a
-# hosts^2 scan there costs 65k iterations per slot.
+# End-to-end: slots/sec at n in {16, 64}, load 0.9, plus the three
+# uniform n=256 load-0.9 rows (one ~0.1 s iteration each; the rest of the
+# n=256 grid is too slow for a smoke job, and the committed baseline still
+# records it), plus the Clint bulk and quick channels. The n=256 rows gate
+# the per-slot request-matrix work that only shows at that radix (a
+# column rebuild per slot cost up to a third of it).
+# BM_QuickChannel/256 is the gate against quick-channel arbitration that
+# is quadratic in hosts: a hosts^2 scan there costs 65k iterations per
+# slot.
 run_gate "$BUILD_DIR/bench/bench_sim_throughput" \
     "$REPO_ROOT/BENCH_sim_throughput.json" \
-    '/(16|64)/90$|^BM_(Quick|Bulk)Channel/' 0.05
+    '/(16|64)/90$|/uniform/256/90$|^BM_(Quick|Bulk)Channel/' 0.05
 
 # Memory: VOQ storage must follow buffered packets, not ports². The n=256
 # VOQ workload may peak at most 10 MB above the 16-port sweep (binary,
