@@ -20,9 +20,11 @@ namespace lcf {
 namespace {
 
 sim::SimResult run_golden_point(const std::string& sched,
-                                const std::string& traffic) {
+                                const std::string& traffic,
+                                std::size_t speedup = 1) {
     sim::SimConfig c;
     c.ports = 16;
+    c.speedup = speedup;
     c.slots = 5000;
     c.warmup_slots = 500;
     c.seed = 7777;
@@ -81,6 +83,21 @@ TEST(SimGolden, DiagonalLcfCentral) {
         run_golden_point("lcf_central", "diagonal"),
         {67804, 67767, 0, 60946, 67767, 3.2406064384864899, 14.0,
          0.84698611111111111, 1.3698611111111112});
+}
+
+// iLQF weighs every VOQ by its length, so these two pin the queue-length
+// path from SwitchSim into the scheduler end to end; at speedup 2 the
+// second phase of each slot must see the lengths the first one left.
+TEST(SimGolden, UniformIlqf) {
+    expect_matches_golden(run_golden_point("ilqf", "uniform"),
+                          {67804, 67742, 0, 60921, 67742, 5.6090346514338121,
+                           29.0, 0.84698611111111111, 4.482013888888889});
+}
+
+TEST(SimGolden, HotspotIlqfSpeedup2) {
+    expect_matches_golden(run_golden_point("ilqf", "hotspot", 2),
+                          {67831, 23104, 24397, 16761, 28105, 896.35546805083436,
+                           3067.0, 0.25237500000000002, 1.2575555555555555});
 }
 
 TEST(SimGolden, PermutationIslip) {
