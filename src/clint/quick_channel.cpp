@@ -19,6 +19,12 @@ QuickChannelSim::QuickChannelSim(
       traffic_(std::move(traffic)),
       rng_(util::derive_seed(config.seed, 0x41CC)) {
     require(config_.hosts > 0, "hosts must be positive");
+    // The quick channel draws its corruptions itself instead of through
+    // an ErrorLink, so it validates the rate the way ErrorLink does.
+    require(config_.bit_error_rate >= 0.0 && config_.bit_error_rate <= 1.0,
+            "bit_error_rate must be in [0, 1]");
+    // A zero-capacity send queue would silently drop every packet.
+    require(config_.queue_capacity > 0, "queue_capacity must be positive");
     require(traffic_ != nullptr, "traffic generator required");
     traffic_->reset(config_.hosts, config_.hosts, config_.seed);
     arrival_buf_.assign(config_.hosts, traffic::kNoArrival);

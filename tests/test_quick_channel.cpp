@@ -186,6 +186,40 @@ TEST(QuickChannel, RejectsBadConfiguration) {
     EXPECT_THROW(QuickChannelSim(c, nullptr), std::invalid_argument);
 }
 
+// The quick channel draws its own corruptions (no ErrorLink checks the
+// rate for it): an out-of-range rate used to run error-free.
+TEST(QuickChannel, RejectsBitErrorRateOutOfRange) {
+    for (const double ber : {2.0, -0.5}) {
+        QuickChannelConfig c = small_config();
+        c.bit_error_rate = ber;
+        const std::string msg = invalid_argument_message([&] {
+            QuickChannelSim(c,
+                            std::make_unique<traffic::BernoulliUniform>(0.1));
+        });
+        EXPECT_NE(msg.find("bit_error_rate"), std::string::npos)
+            << ber << ": " << msg;
+    }
+    for (const double ber : {0.0, 1.0}) {  // the ends of [0, 1] are fine
+        QuickChannelConfig c = small_config();
+        c.bit_error_rate = ber;
+        EXPECT_NO_THROW(QuickChannelSim(
+            c, std::make_unique<traffic::BernoulliUniform>(0.1)));
+    }
+}
+
+// A zero-capacity send queue used to drop every packet without a word.
+TEST(QuickChannel, RejectsZeroQueueCapacity) {
+    QuickChannelConfig c = small_config();
+    c.queue_capacity = 0;
+    const std::string msg = invalid_argument_message([&] {
+        QuickChannelSim(c, std::make_unique<traffic::BernoulliUniform>(0.1));
+    });
+    EXPECT_NE(msg.find("queue_capacity"), std::string::npos) << msg;
+    c.queue_capacity = 1;
+    EXPECT_NO_THROW(
+        QuickChannelSim(c, std::make_unique<traffic::BernoulliUniform>(0.1)));
+}
+
 // Each argument of inject_control() is range-checked and named: an
 // out-of-range target would otherwise index past the per-target winner
 // array.
