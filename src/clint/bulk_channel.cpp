@@ -54,7 +54,6 @@ BulkChannelSim::BulkChannelSim(
     for (std::size_t h = 0; h < config_.hosts; ++h) {
         // Throws for a zero (or oversized) voq_capacity.
         hosts_[h].voqs = sim::VoqBank(config_.hosts, config_.voq_capacity);
-        hosts_[h].committed.assign(config_.hosts, 0);
         uplinks_.emplace_back(config_.bit_error_rate,
                               util::derive_seed(config_.seed, 100 + h));
         downlinks_.emplace_back(config_.bit_error_rate,
@@ -108,12 +107,13 @@ std::uint64_t BulkChannelSim::retry_window(
 }
 
 std::uint16_t BulkChannelSim::request_mask(const Host& h) const {
-    // A VOQ contributes a request only for packets not already committed
-    // to an in-flight grant; lost transfers waiting in the retransmit
-    // queue re-request their target.
+    // Every non-empty VOQ requests its target, and lost transfers waiting
+    // in the retransmit queue re-request theirs. No packet needs holding
+    // back for an in-flight grant: step() spends last slot's grant before
+    // this slot's configuration packet is built.
     std::uint16_t mask = 0;
     for (std::size_t j = 0; j < config_.hosts; ++j) {
-        if (h.voqs.size(j) > h.committed[j]) {
+        if (!h.voqs.empty(j)) {
             mask = static_cast<std::uint16_t>(mask | (1U << j));
         }
     }
@@ -145,7 +145,6 @@ void BulkChannelSim::crash_host(std::size_t host) {
     h.outstanding.clear();
     stats_.multicast_lost += h.multicast.size();
     h.multicast.clear();
-    h.committed.assign(config_.hosts, 0);
     h.pending_grant.reset();
     h.pending_fanout.clear();
 }
@@ -248,8 +247,6 @@ void BulkChannelSim::step_transfers() {
         if (!h.pending_grant) continue;
         const std::size_t target = *h.pending_grant;
         h.pending_grant.reset();
-        assert(h.committed[target] > 0);
-        --h.committed[target];
 
         // Pick the packet for this target: lost transfers first, then
         // the VOQ head.
@@ -313,6 +310,9 @@ void BulkChannelSim::step_scheduling() {
     decoded_cfgs_.assign(n, std::nullopt);
     std::uint16_t ben_consensus = 0xFFFF;
     for (std::size_t h = 0; h < n; ++h) {
+        // step_transfers() spent last slot's grant; request_mask() relies
+        // on it.
+        assert(!hosts_[h].pending_grant);
         if (!host_up(h)) {
             // A crashed host sends nothing; the switch reports linkErr
             // in the grant it would have returned.
@@ -394,7 +394,6 @@ void BulkChannelSim::step_scheduling() {
         }
         if (decoded->gnt_val) {
             hosts_[h].pending_grant = decoded->gnt;
-            ++hosts_[h].committed[decoded->gnt];
         }
         // Precalculated fan-out: targets whose fanout names this host
         // but that are not part of the unicast matching. Only a claim
@@ -421,6 +420,10 @@ void BulkChannelSim::step() {
     last_acks_.clear();
     step_arrivals();
     step_timeouts();
+    // Transfers before scheduling: every grant issued last slot is spent
+    // (its packet popped or taken from the retransmit queue) before this
+    // slot's configuration packets are built, so request_mask() needs no
+    // count of grants committed but not yet transferred.
     step_transfers();
     step_scheduling();
     ++slot_;

@@ -210,7 +210,6 @@ private:
         sim::VoqBank voqs;
         std::vector<Transfer> retransmit;   // timed-out, awaiting regrant
         std::vector<Transfer> outstanding;  // awaiting ack
-        std::vector<std::size_t> committed;   // grants not yet transferred, per target
         std::vector<MulticastEntry> multicast;  // oldest first
         std::optional<std::uint8_t> pending_grant;  // target granted last slot
         // Precalc targets the last grant cycle admitted (none: no multicast).

@@ -6,7 +6,7 @@
 namespace lcf::sim {
 
 VoqBank::VoqBank(std::size_t outputs, std::size_t capacity)
-    : queues_(outputs), occupancy_(outputs) {
+    : queues_(outputs) {
     if (capacity == 0) {
         throw std::invalid_argument("voq_capacity must be positive");
     }
@@ -30,7 +30,6 @@ bool VoqBank::push(const Packet& p) {
     }
     if (q.size == 0) {
         q.head = n;
-        occupancy_.set(p.destination);
     } else {
         nodes_[q.tail].next = n;
     }
@@ -49,7 +48,7 @@ Packet VoqBank::pop(std::size_t output) noexcept {
     node.next = free_;
     free_ = n;
     --buffered_;
-    if (--q.size == 0) occupancy_.reset(output);
+    --q.size;
     return node.packet;
 }
 

@@ -1,5 +1,5 @@
-// Tests for the VOQ bank: routing by destination, occupancy/request
-// vectors, per-queue capacity, construction bounds, and a differential
+// Tests for the VOQ bank: routing by destination, which queues are
+// non-empty, per-queue capacity, construction bounds, and a differential
 // run of the shared node pool against a per-queue std::deque model.
 
 #include "sim/voq.hpp"
@@ -31,12 +31,11 @@ TEST(VoqBank, OccupancyReflectsPushes) {
     VoqBank bank(4, 8);
     bank.push(Packet{0, 0, 1, 0});
     bank.push(Packet{1, 0, 3, 0});
-    const auto& req = bank.occupancy();
-    EXPECT_FALSE(req.test(0));
-    EXPECT_TRUE(req.test(1));
-    EXPECT_FALSE(req.test(2));
-    EXPECT_TRUE(req.test(3));
-    EXPECT_EQ(req.count(), 2u);
+    EXPECT_TRUE(bank.empty(0));
+    EXPECT_FALSE(bank.empty(1));
+    EXPECT_TRUE(bank.empty(2));
+    EXPECT_FALSE(bank.empty(3));
+    EXPECT_EQ(bank.total_buffered(), 2u);
 }
 
 TEST(VoqBank, PerQueueCapacityEnforced) {
@@ -52,11 +51,10 @@ TEST(VoqBank, PerQueueCapacityEnforced) {
 TEST(VoqBank, OccupancyEmptiesAfterDrain) {
     VoqBank bank(3, 4);
     bank.push(Packet{0, 0, 2, 0});
-    EXPECT_EQ(bank.occupancy().count(), 1u);
+    EXPECT_EQ(bank.total_buffered(), 1u);
     bank.pop(2);
     EXPECT_TRUE(bank.empty(2));
     EXPECT_EQ(bank.size(2), 0u);
-    EXPECT_TRUE(bank.occupancy().none());
 }
 
 TEST(VoqBank, RejectsZeroCapacity) {
@@ -89,8 +87,6 @@ TEST(VoqBank, MatchesDequeModel) {
             ASSERT_EQ(bank.empty(j), model[j].empty()) << "op " << op;
             ASSERT_EQ(bank.full(j), model[j].size() == kCapacity)
                 << "op " << op;
-            ASSERT_EQ(bank.occupancy().test(j), !model[j].empty())
-                << "op " << op;
             total += model[j].size();
         }
         ASSERT_EQ(bank.total_buffered(), total) << "op " << op;
@@ -116,7 +112,6 @@ TEST(VoqBank, MatchesDequeModel) {
                 }
             }
             ASSERT_EQ(bank.total_buffered(), 0u);
-            ASSERT_TRUE(bank.occupancy().none());
             ++drains;
             continue;
         }
