@@ -121,14 +121,6 @@ std::size_t BitVec::and_count(const BitVec& other) const noexcept {
     return total;
 }
 
-bool BitVec::intersects(const BitVec& other) const noexcept {
-    LCF_BITVEC_ASSERT(size_ == other.size_);
-    for (std::size_t i = 0; i < words_.size(); ++i) {
-        if ((words_[i] & other.words_[i]) != 0) return true;
-    }
-    return false;
-}
-
 BitVec& BitVec::operator&=(const BitVec& other) noexcept {
     LCF_BITVEC_ASSERT(size_ == other.size_);
     for (std::size_t i = 0; i < words_.size(); ++i) words_[i] &= other.words_[i];
@@ -138,12 +130,6 @@ BitVec& BitVec::operator&=(const BitVec& other) noexcept {
 BitVec& BitVec::operator|=(const BitVec& other) noexcept {
     LCF_BITVEC_ASSERT(size_ == other.size_);
     for (std::size_t i = 0; i < words_.size(); ++i) words_[i] |= other.words_[i];
-    return *this;
-}
-
-BitVec& BitVec::operator^=(const BitVec& other) noexcept {
-    LCF_BITVEC_ASSERT(size_ == other.size_);
-    for (std::size_t i = 0; i < words_.size(); ++i) words_[i] ^= other.words_[i];
     return *this;
 }
 

@@ -86,15 +86,11 @@ public:
     /// Popcount of (*this & other) without materializing the
     /// intersection; both operands must have equal size.
     [[nodiscard]] std::size_t and_count(const BitVec& other) const noexcept;
-    /// True when (*this & other) has at least one set bit.
-    [[nodiscard]] bool intersects(const BitVec& other) const noexcept;
 
     /// In-place set intersection; both operands must have equal size.
     BitVec& operator&=(const BitVec& other) noexcept;
     /// In-place set union; both operands must have equal size.
     BitVec& operator|=(const BitVec& other) noexcept;
-    /// In-place symmetric difference; both operands must have equal size.
-    BitVec& operator^=(const BitVec& other) noexcept;
     /// In-place set subtraction (this &= ~other); equal sizes required.
     BitVec& subtract(const BitVec& other) noexcept;
 
