@@ -6,23 +6,6 @@ namespace lcf::util {
 
 BitVec::BitVec(std::size_t size) : size_(size), words_(word_count(), 0) {}
 
-bool BitVec::test(std::size_t i) const noexcept {
-    LCF_BITVEC_ASSERT(i < size_);
-    return (words_[i / kWordBits] >> (i % kWordBits)) & 1U;
-}
-
-void BitVec::set(std::size_t i, bool value) noexcept {
-    LCF_BITVEC_ASSERT(i < size_);
-    const std::uint64_t mask = std::uint64_t{1} << (i % kWordBits);
-    if (value) {
-        words_[i / kWordBits] |= mask;
-    } else {
-        words_[i / kWordBits] &= ~mask;
-    }
-}
-
-void BitVec::reset(std::size_t i) noexcept { set(i, false); }
-
 void BitVec::clear() noexcept {
     for (auto& w : words_) w = 0;
 }
@@ -46,13 +29,6 @@ void BitVec::set_word(std::size_t wi, std::uint64_t bits) noexcept {
 }
 
 std::size_t BitVec::count() const noexcept { return and_count(*this); }  // w & w = w
-
-bool BitVec::none() const noexcept {
-    for (const auto w : words_) {
-        if (w != 0) return false;
-    }
-    return true;
-}
 
 std::size_t BitVec::find_first() const noexcept {
     for (std::size_t wi = 0; wi < words_.size(); ++wi) {

@@ -52,11 +52,22 @@ public:
     [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
 
     /// Read bit `i` (precondition: i < size()).
-    [[nodiscard]] bool test(std::size_t i) const noexcept;
+    [[nodiscard]] bool test(std::size_t i) const noexcept {
+        LCF_BITVEC_ASSERT(i < size_);
+        return (words_[i / kWordBits] >> (i % kWordBits)) & 1U;
+    }
     /// Set bit `i` to `value` (precondition: i < size()).
-    void set(std::size_t i, bool value = true) noexcept;
+    void set(std::size_t i, bool value = true) noexcept {
+        LCF_BITVEC_ASSERT(i < size_);
+        const std::uint64_t mask = std::uint64_t{1} << (i % kWordBits);
+        if (value) {
+            words_[i / kWordBits] |= mask;
+        } else {
+            words_[i / kWordBits] &= ~mask;
+        }
+    }
     /// Clear bit `i` (precondition: i < size()).
-    void reset(std::size_t i) noexcept;
+    void reset(std::size_t i) noexcept { set(i, false); }
     /// Clear all bits.
     void clear() noexcept;
     /// Set all bits in [0, size()).
@@ -65,7 +76,12 @@ public:
     /// Number of set bits.
     [[nodiscard]] std::size_t count() const noexcept;
     /// True when no bit is set.
-    [[nodiscard]] bool none() const noexcept;
+    [[nodiscard]] bool none() const noexcept {
+        for (const auto w : words_) {
+            if (w != 0) return false;
+        }
+        return true;
+    }
     /// True when at least one bit is set.
     [[nodiscard]] bool any() const noexcept { return !none(); }
 
