@@ -14,17 +14,25 @@ void require(bool ok, const char* message) {
     if (!ok) throw std::invalid_argument(message);
 }
 
-// One control wire's trip through the link's bit errors and the fault
-// plan: the bytes that arrive, or nullopt when the plan absorbs them.
-std::optional<std::span<const std::uint8_t>> carry(
-    ErrorLink& link, std::optional<fault::FaultInjector>& injector,
-    fault::LinkKind kind, std::size_t host, std::uint64_t slot,
-    std::span<std::uint8_t> wire) {
-    link.transmit(wire);
+// One control packet's trip through its link's bit errors and the fault
+// plan: nullopt when the plan absorbs the wire, else what the receiver
+// decodes (nullopt inside on a CRC error). A packet with a clean link
+// draw in a quiet slot arrives as sent without the codec, which is exact
+// because decode(encode(p)) == p. Every draw is made as on the codec path.
+template <class Packet>
+std::optional<std::optional<Packet>> carry(
+    const Packet& sent, ErrorLink& link, util::BitFlipper& flips,
+    std::optional<fault::FaultInjector>& injector, fault::LinkKind kind,
+    std::size_t host, std::uint64_t slot) {
+    assert(Packet::decode(sent.encode()) == sent);
+    const bool clean = link.clean(flips);
+    if (clean && (!injector || injector->quiet(slot))) return sent;
+    auto wire = sent.encode();
+    if (!clean) link.corrupt(wire, flips);
     const std::optional<std::size_t> arrived =
         injector ? injector->transmit(kind, host, slot, wire) : wire.size();
     if (!arrived) return std::nullopt;
-    return wire.first(*arrived);
+    return Packet::decode(std::span(wire).first(*arrived));
 }
 
 }  // namespace
@@ -107,16 +115,15 @@ std::uint64_t BulkChannelSim::retry_window(
 }
 
 std::uint16_t BulkChannelSim::request_mask(const Host& h) const {
-    // Every non-empty VOQ requests its target, and lost transfers waiting
-    // in the retransmit queue re-request theirs. No packet needs holding
-    // back for an in-flight grant: step() spends last slot's grant before
-    // this slot's configuration packet is built.
-    std::uint16_t mask = 0;
+    // Every non-empty VOQ requests its target (`nonempty`, kept current
+    // at push, pop and crash), and lost transfers waiting in the
+    // retransmit queue re-request theirs. No packet needs holding back
+    // for an in-flight grant: step() spends last slot's grant before this
+    // slot's configuration packet is built.
     for (std::size_t j = 0; j < config_.hosts; ++j) {
-        if (!h.voqs.empty(j)) {
-            mask = static_cast<std::uint16_t>(mask | (1U << j));
-        }
+        assert(h.voqs.empty(j) != (((h.nonempty >> j) & 1U) != 0));
     }
+    std::uint16_t mask = h.nonempty;
     for (const auto& p : h.retransmit) {
         mask = static_cast<std::uint16_t>(mask | (1U << p.packet.destination));
     }
@@ -136,6 +143,7 @@ void BulkChannelSim::crash_host(std::size_t host) {
     for (std::size_t j = 0; j < config_.hosts; ++j) {
         while (!h.voqs.empty(j)) lose(h.voqs.pop(j));
     }
+    h.nonempty = 0;
     for (const auto* transfers : {&h.retransmit, &h.outstanding}) {
         for (const Transfer& t : *transfers) {
             if (!t.delivered) lose(t.packet);
@@ -165,7 +173,10 @@ void BulkChannelSim::step_arrivals() {
             seq_.skip(flow_of(p), p.flow_seq);
             continue;
         }
-        if (!hosts_[h].voqs.push(p)) {
+        if (hosts_[h].voqs.push(p)) {
+            hosts_[h].nonempty =
+                static_cast<std::uint16_t>(hosts_[h].nonempty | (1U << dst));
+        } else {
             ++stats_.dropped_voq;
             seq_.skip(flow_of(p), p.flow_seq);
         }
@@ -176,7 +187,7 @@ void BulkChannelSim::step_timeouts() {
     for (auto& h : hosts_) {
         for (std::size_t k = 0; k < h.outstanding.size();) {
             Transfer& o = h.outstanding[k];
-            if (slot_ - o.sent_slot < retry_window(o.retries)) {
+            if (slot_ < o.deadline) {
                 ++k;
                 continue;
             }
@@ -250,18 +261,24 @@ void BulkChannelSim::step_transfers() {
 
         // Pick the packet for this target: lost transfers first, then
         // the VOQ head.
-        Transfer t{{}, slot_, slot_, 0, false};
+        Transfer t{{}, 0, slot_, 0, false};
         const auto rit = std::find_if(
             h.retransmit.begin(), h.retransmit.end(),
             [&](const Transfer& r) { return r.packet.destination == target; });
         if (rit != h.retransmit.end()) {
             t = *rit;
-            t.sent_slot = slot_;
             h.retransmit.erase(rit);
         } else {
             assert(!h.voqs.empty(target));
             t.packet = h.voqs.pop(target);
+            if (h.voqs.empty(target)) {
+                h.nonempty =
+                    static_cast<std::uint16_t>(h.nonempty & ~(1U << target));
+            }
         }
+        // The ack is due within the retry window of this transmission.
+        t.deadline = slot_ + std::min(retry_window(t.retries),
+                                      ~std::uint64_t{0} - slot_);
 
         // Bulk data packet across the fabric.
         if (data_rng_.next_bool(fault::corruption_probability(
@@ -305,8 +322,11 @@ void BulkChannelSim::step_scheduling() {
         requests_ = sched::RequestMatrix(n);
         req_row_ = util::BitVec(n);
         precalc_ = core::PrecalcSchedule(n);
+        config_flips_ = util::BitFlipper(config_.bit_error_rate,
+                                         ConfigPacket::kWireSize);
+        grant_flips_ = util::BitFlipper(config_.bit_error_rate,
+                                        GrantPacket::kWireSize);
     }
-    precalc_.clear();
     decoded_cfgs_.assign(n, std::nullopt);
     std::uint16_t ben_consensus = 0xFFFF;
     for (std::size_t h = 0; h < n; ++h) {
@@ -326,15 +346,14 @@ void BulkChannelSim::step_scheduling() {
                       : hosts_[h].multicast.front().target_mask;
         cfg.ben = hosts_[h].ben_report;
         cfg.qen = 0xFFFF;
-        auto wire = cfg.encode();
-        const auto arrived = carry(uplinks_[h], injector_,
-                                   fault::LinkKind::kUplink, h, slot_, wire);
+        const auto arrived = carry(cfg, uplinks_[h], config_flips_, injector_,
+                                   fault::LinkKind::kUplink, h, slot_);
         if (!arrived) {
             ++stats_.configs_lost;
             switch_link_flag_[h] = true;
             continue;  // absorbed whole: the switch hears silence
         }
-        decoded_cfgs_[h] = ConfigPacket::decode(*arrived);
+        decoded_cfgs_[h] = *arrived;
         if (!decoded_cfgs_[h]) {
             ++stats_.config_crc_errors;
             switch_crc_flag_[h] = true;
@@ -354,11 +373,8 @@ void BulkChannelSim::step_scheduling() {
         const bool heard = decoded_cfgs_[h] && !(fenced_mask_ & (1U << h));
         req_row_.set_word(0, heard ? decoded_cfgs_[h]->req & ~down : 0U);
         requests_.assign_row(h, req_row_);
-        if (!heard) continue;
-        const std::uint64_t pre = decoded_cfgs_[h]->pre & ~down;
-        for (std::size_t j = 0; j < n; ++j) {
-            if (pre & (1U << j)) precalc_.claim(h, j);
-        }
+        req_row_.set_word(0, heard ? decoded_cfgs_[h]->pre & ~down : 0U);
+        precalc_.assign_row(h, req_row_);
     }
 
     scheduler_.schedule_with_precalc(requests_, precalc_, schedule_);
@@ -380,14 +396,13 @@ void BulkChannelSim::step_scheduling() {
         switch_crc_flag_[h] = false;
         switch_link_flag_[h] = false;
 
-        auto wire = gnt.encode();
-        const auto arrived = carry(downlinks_[h], injector_,
-                                   fault::LinkKind::kDownlink, h, slot_, wire);
+        const auto arrived = carry(gnt, downlinks_[h], grant_flips_, injector_,
+                                   fault::LinkKind::kDownlink, h, slot_);
         if (!arrived) {
             ++stats_.grants_lost;
             continue;  // host misses its grant; the slot goes unused
         }
-        const auto decoded = GrantPacket::decode(*arrived);
+        const std::optional<GrantPacket>& decoded = *arrived;
         if (!decoded) {
             ++stats_.grant_crc_errors;
             continue;  // host misses its grant; the slot goes unused

@@ -196,7 +196,7 @@ private:
     /// A transfer awaiting its ack, or timed out and awaiting a regrant.
     struct Transfer {
         sim::Packet packet;
-        std::uint64_t sent_slot = 0;   ///< most recent transmission
+        std::uint64_t deadline = 0;  ///< last sent + its retry window
         std::uint64_t first_sent = 0;  ///< first transmission (recovery delay)
         std::uint32_t retries = 0;     ///< retransmissions so far
         bool delivered = false;  ///< target already has it (its ack was lost)
@@ -208,6 +208,7 @@ private:
     };
     struct Host {
         sim::VoqBank voqs;
+        std::uint16_t nonempty = 0;  // bit j: voqs.empty(j) is false
         std::vector<Transfer> retransmit;   // timed-out, awaiting regrant
         std::vector<Transfer> outstanding;  // awaiting ack
         std::vector<MulticastEntry> multicast;  // oldest first
@@ -253,10 +254,14 @@ private:
     // Per-slot scheduling scratch: sized by the first step_scheduling(),
     // which keeps construction cheap, and rewritten every slot after that.
     sched::RequestMatrix requests_;
-    util::BitVec req_row_;  // one host's `req` word as a request row
+    util::BitVec req_row_;  // one host's `req` or `pre` word as a row
     core::PrecalcSchedule precalc_;
     core::MulticastResult schedule_;
     std::vector<std::optional<ConfigPacket>> decoded_cfgs_;
+    // config_.bit_error_rate, which every link runs at, over each control
+    // packet's size.
+    util::BitFlipper config_flips_;
+    util::BitFlipper grant_flips_;
 
     std::optional<fault::FaultInjector> injector_;
     // Per-slot arrival destinations (one batched traffic_->arrivals()

@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "util/bitflip.hpp"
-
 namespace lcf::clint {
 
 ErrorLink::ErrorLink(double bit_error_rate, std::uint64_t seed)
@@ -13,14 +11,13 @@ ErrorLink::ErrorLink(double bit_error_rate, std::uint64_t seed)
     }
 }
 
-void ErrorLink::transmit(std::span<std::uint8_t> wire) {
-    if (ber_ <= 0.0) return;
-    // Geometric skip sampling (util::flip_bits): O(flips) RNG work per
-    // packet instead of the previous 8 Bernoulli draws per byte, with
-    // identical independent-flip semantics.
-    const std::uint64_t flips = util::flip_bits(wire, ber_, rng_);
-    if (flips > 0) {
-        flipped_bits_ += flips;
+void ErrorLink::corrupt(std::span<std::uint8_t> wire,
+                        const util::BitFlipper& flips) {
+    // Geometric skip sampling (util::BitFlipper): O(flips) RNG work per
+    // packet instead of 8 Bernoulli draws per byte.
+    const std::uint64_t flipped = flips.flip(wire, rng_);
+    if (flipped > 0) {
+        flipped_bits_ += flipped;
         ++corrupted_;
     }
 }

@@ -3,9 +3,11 @@
 // detects corruption through per-packet CRCs and reports it via the
 // linkErr/CRCErr grant-packet flags; this model provides the faults.
 
+#include <cassert>
 #include <cstdint>
 #include <span>
 
+#include "util/bitflip.hpp"
 #include "util/rng.hpp"
 
 namespace lcf::clint {
@@ -18,7 +20,21 @@ public:
 
     /// Transmit a packet: flips its corrupted bits in place and
     /// increments the error statistics when there are any.
-    void transmit(std::span<std::uint8_t> wire);
+    void transmit(std::span<std::uint8_t> wire) {
+        util::BitFlipper flips(ber_, wire.size());
+        if (!clean(flips)) corrupt(wire, flips);
+    }
+    /// First half of transmit(): the first draw of a packet of
+    /// flips.bytes() bytes, `flips` being this link's rate over that size
+    /// with its threshold computed once by the caller. True when no bit
+    /// flips, so the packet need not be encoded; otherwise corrupt() must
+    /// follow with the packet and the same `flips`.
+    [[nodiscard]] bool clean(util::BitFlipper& flips) {
+        assert(flips.rate() == ber_);
+        return flips.clean(rng_);
+    }
+    /// Second half: flip the bits the first draw did not clear.
+    void corrupt(std::span<std::uint8_t> wire, const util::BitFlipper& flips);
 
     /// Packets that suffered at least one bit flip so far.
     [[nodiscard]] std::uint64_t corrupted_packets() const noexcept {

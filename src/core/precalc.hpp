@@ -33,6 +33,10 @@ public:
     void claim(std::size_t input, std::size_t output) noexcept {
         claims_.set(input, output);
     }
+    /// Make input `input`'s claims equal to `outputs` (a row-sized set).
+    void assign_row(std::size_t input, const util::BitVec& outputs) noexcept {
+        claims_.assign_row(input, outputs);
+    }
     [[nodiscard]] bool claimed(std::size_t input, std::size_t output) const noexcept {
         return claims_.get(input, output);
     }
