@@ -6,7 +6,9 @@
 // hot-slot-path work (see docs/performance.md).
 //
 // Grid: VOQ lcf_central / lcf_dist / islip, n in {16, 64, 256},
-// uniform and bursty traffic, offered loads 0.7 / 0.9 / 1.0.
+// uniform and bursty traffic, offered loads 0.7 / 0.9 / 1.0, plus
+// ilqf/uniform/{16,256}/90: iLQF is the one scheduler that weighs VOQ
+// lengths, so only its rows run SwitchSim's queue-length bookkeeping.
 // Benchmark names encode the point as
 //   BM_SimThroughput/<scheduler>/<traffic>/<n>/<load%>
 // and each run reports items/sec == simulated slots/sec.
@@ -119,6 +121,15 @@ void register_grid() {
                 }
             }
         }
+    }
+    for (const std::size_t n : {std::size_t{16}, std::size_t{256}}) {
+        benchmark::RegisterBenchmark(
+            ("BM_SimThroughput/ilqf/uniform/" + std::to_string(n) + "/90")
+                .c_str(),
+            [n](benchmark::State& state) {
+                run_sim_point(state, "ilqf", "uniform", n, 0.9);
+            })
+            ->Unit(benchmark::kMillisecond);
     }
     for (const std::size_t hosts : {std::size_t{16}, std::size_t{256}}) {
         benchmark::RegisterBenchmark(

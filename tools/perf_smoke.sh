@@ -40,12 +40,15 @@ run_gate() {
 run_gate "$BUILD_DIR/bench/bench_sched_speed" \
     "$REPO_ROOT/BENCH_sched_speed.json" '/(16|64)$' 0.05
 
-# End-to-end: slots/sec at n in {16, 64}, load 0.9, plus the three
-# uniform n=256 load-0.9 rows (one ~0.1 s iteration each; the rest of the
-# n=256 grid is too slow for a smoke job, and the committed baseline still
+# End-to-end: slots/sec at n in {16, 64}, load 0.9, plus the uniform
+# n=256 load-0.9 rows (one ~0.1 s iteration each; the rest of the n=256
+# grid is too slow for a smoke job, and the committed baseline still
 # records it), plus the Clint bulk and quick channels. The n=256 rows gate
 # the per-slot request-matrix work that only shows at that radix (a
-# column rebuild per slot cost up to a third of it).
+# column rebuild per slot cost up to a third of it). The ilqf rows
+# (ilqf/uniform/{16,256}/90, matched by the first two alternatives) gate
+# the VOQ-length bookkeeping only iLQF reads: an O(n^2) per-phase length
+# gather made n=256 2.7x slower.
 # BM_QuickChannel/256 is the gate against quick-channel arbitration that
 # is quadratic in hosts: a hosts^2 scan there costs 65k iterations per
 # slot.
