@@ -3,20 +3,24 @@
 
 Usage:
     tools/ab_perfbench.py --base REV [--pairs N] [--workload W ...]
+                          [--held-out]
 
 Exports REV's committed files (git archive) into a temporary directory
 and runs perfbench/run.py there and in the working tree (the head),
 N alternating pairs per workload: odd pairs run the base first, even
 pairs the head first, so a drift in host load hits both sides alike.
 Every measured run uses run.py's defaults, so its length is
-BENCHMARK.json's run_seconds. Each side builds its own perfbench from
-its own sources (run.py's .bench_build/); a 1-second warm-up run on
-each side pays for the build and is not measured.
+BENCHMARK.json's run_seconds. --held-out passes run.py's --held-out to
+every measured run, so both sides run the seed never used while
+tuning. Each side builds its own perfbench from its own sources
+(run.py's .bench_build/); a 1-second warm-up run on each side pays for
+the build and is not measured.
 
 For every end-to-end metric in BENCHMARK.json it prints each side's
 median, the base's IQR/median, the head/base ratio of every pair, how
-many pairs the head won (in the metric's "better" direction) and the
-median change against the metric's bound, marking a metric
+many pairs the head won (in the metric's "better" direction), the
+two-sided sign-test p-value of those wins over the pairs that were not
+ties, and the median change against the metric's bound, marking a metric
 "unresolved" when the base's spread is wider than the bound. It then
 says whether the model outputs (mean delay, p99 delay, goodput) were
 bit-identical in every pair, and how many runs failed on each side.
@@ -30,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import pathlib
 import shutil
 import statistics
@@ -81,13 +86,24 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, med, q3
 
 
+def sign_test(wins: int, losses: int) -> float:
+    """Two-sided sign-test p-value of `wins` against `losses` (ties left
+    out): the chance that fair coin flips split at least this unevenly."""
+    n = wins + losses
+    if n == 0:
+        return 1.0
+    tail = sum(math.comb(n, k) for k in range(min(wins, losses) + 1))
+    return min(1.0, 2.0 * tail / 2 ** n)
+
+
 def report(workload: str, pairs: list[tuple[dict, dict]],
            declared: list[dict]) -> bool:
     """Print one workload's comparison; False if a median is over bound."""
     ok = True
     print(f"\n{workload}: {len(pairs)} pairs")
     print(f"  {'metric':26s} {'base med':>12s} {'head med':>12s} "
-          f"{'base iqr/med':>12s} {'wins':>6s} {'change':>8s} {'bound':>6s}")
+          f"{'base iqr/med':>12s} {'wins':>6s} {'sign p':>7s} {'change':>8s} "
+          f"{'bound':>6s}")
     for metric in declared:
         name = metric["name"]
         have = [(b["metrics"][name]["value"], h["metrics"][name]["value"])
@@ -101,6 +117,7 @@ def report(workload: str, pairs: list[tuple[dict, dict]],
         head_med = statistics.median(head)
         higher = metric["better"] == "higher"
         wins = sum((h > b) if higher else (h < b) for b, h in have)
+        losses = sum((h < b) if higher else (h > b) for b, h in have)
         # Relative change of the median, positive when the head is better.
         change = 0.0
         if base_med:
@@ -118,7 +135,8 @@ def report(workload: str, pairs: list[tuple[dict, dict]],
         elif spread > metric["bound"] and not separated:
             verdict = "unresolved"
         print(f"  {name:26s} {base_med:12.6g} {head_med:12.6g} "
-              f"{spread:12.4f} {wins:>3d}/{len(have):<2d} {change:+8.4f} "
+              f"{spread:12.4f} {wins:>3d}/{len(have):<2d} "
+              f"{sign_test(wins, losses):7.4f} {change:+8.4f} "
               f"{metric['bound']:6.3f} {verdict}")
         ratios = " ".join(f"{h / b:.3f}" if b else "-" for b, h in have)
         print(f"    head/base per pair: {ratios}")
@@ -138,10 +156,13 @@ def main() -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--workload", action="append", choices=WORKLOADS,
                         help="repeatable; default: every workload")
+    parser.add_argument("--held-out", action="store_true",
+                        help="measure on run.py's held-out seed")
     args = parser.parse_args()
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     workloads = args.workload or WORKLOADS
+    extra = ("--held-out",) if args.held_out else ()
 
     scratch = pathlib.Path(tempfile.mkdtemp(prefix="ab_perfbench-"))
     try:
@@ -162,7 +183,7 @@ def main() -> int:
                 order = ["base", "head"] if k % 2 == 0 else ["head", "base"]
                 results = {}
                 for label in order:
-                    result = run(sides[label], workload)
+                    result = run(sides[label], workload, extra)
                     if result is None:
                         failed[label] += 1
                     else:
