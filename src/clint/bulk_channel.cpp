@@ -22,15 +22,15 @@ void require(bool ok, const char* message) {
 template <class Packet>
 std::optional<std::optional<Packet>> carry(
     const Packet& sent, ErrorLink& link, util::BitFlipper& flips,
-    std::optional<fault::FaultInjector>& injector, fault::LinkKind kind,
-    std::size_t host, std::uint64_t slot) {
+    fault::FaultInjector& injector, fault::LinkKind kind, std::size_t host,
+    std::uint64_t slot) {
     assert(Packet::decode(sent.encode()) == sent);
     const bool clean = link.clean(flips);
-    if (clean && (!injector || injector->quiet(slot))) return sent;
+    if (clean && injector.quiet(slot)) return sent;
     auto wire = sent.encode();
     if (!clean) link.corrupt(wire, flips);
     const std::optional<std::size_t> arrived =
-        injector ? injector->transmit(kind, host, slot, wire) : wire.size();
+        injector.transmit(kind, host, slot, wire);
     if (!arrived) return std::nullopt;
     return Packet::decode(std::span(wire).first(*arrived));
 }
@@ -44,6 +44,7 @@ BulkChannelSim::BulkChannelSim(
       traffic_(std::move(traffic)),
       scheduler_(core::LcfCentralOptions{.variant = core::RrVariant::kInterleaved}),
       data_rng_(util::derive_seed(config.seed, 0xDA7A)),
+      injector_(config.fault_plan),
       // Default checker options: the diagonal-fairness check stays off
       // because precalculated multicast claims (§4.3) may occupy an
       // output, the diagonal's included, indefinitely.
@@ -71,10 +72,7 @@ BulkChannelSim::BulkChannelSim(
     next_flow_seq_.assign(config_.hosts * config_.hosts, 0);
     switch_crc_flag_.assign(config_.hosts, false);
     switch_link_flag_.assign(config_.hosts, false);
-    if (!config_.fault_plan.empty()) {
-        injector_.emplace(config_.fault_plan);
-        injector_->reset(config_.hosts);
-    }
+    injector_.reset(config_.hosts);
     // Independent-bit corruption over the nominal payload / ack sizes.
     p_data_corrupt_ = fault::corruption_probability(config_.bit_error_rate,
                                                     config_.payload_bits);
@@ -239,14 +237,12 @@ void BulkChannelSim::step_transfers() {
             assert(!h.multicast.empty());
             h.multicast.erase(h.multicast.begin());
             for (const std::size_t target : h.pending_fanout) {
-                if (data_rng_.next_bool(fault::corruption_probability(
-                        injector_, p_data_corrupt_, fault::LinkKind::kData, hi,
-                        slot_, config_.payload_bits))) {
+                if (data_rng_.next_bool(injector_.corruption_probability(
+                        p_data_corrupt_, fault::LinkKind::kData, hi, slot_,
+                        config_.payload_bits))) {
                     ++stats_.data_corruptions;
-                } else if (injector_ &&
-                           (!host_up(target) ||
-                            injector_->packet_lost(fault::LinkKind::kData, hi,
-                                                   slot_))) {
+                } else if (injector_.absorbs(fault::LinkKind::kData, hi,
+                                             target, slot_)) {
                     ++stats_.multicast_lost;
                 } else {
                     ++stats_.multicast_copies;
@@ -281,12 +277,10 @@ void BulkChannelSim::step_transfers() {
                                       ~std::uint64_t{0} - slot_);
 
         // Bulk data packet across the fabric.
-        if (data_rng_.next_bool(fault::corruption_probability(
-                injector_, p_data_corrupt_, fault::LinkKind::kData, hi, slot_,
+        if (data_rng_.next_bool(injector_.corruption_probability(
+                p_data_corrupt_, fault::LinkKind::kData, hi, slot_,
                 config_.payload_bits)) ||
-            (injector_ && (!host_up(target) ||
-                           injector_->packet_lost(fault::LinkKind::kData, hi,
-                                                  slot_)))) {
+            injector_.absorbs(fault::LinkKind::kData, hi, target, slot_)) {
             ++stats_.data_corruptions;
             // No ack will come; the timeout path retransmits.
             h.outstanding.push_back(t);
@@ -295,12 +289,15 @@ void BulkChannelSim::step_transfers() {
         deliver(t);
 
         // Acknowledgment back over the quick channel (sent by `target`).
+        // Its destination `hi` is up: crash_host() clears a crashed
+        // host's pending grant, so the liveness half of absorbs() is
+        // always false here.
         last_acks_.emplace_back(target, hi);
-        if (data_rng_.next_bool(fault::corruption_probability(
-                injector_, p_ack_corrupt_, fault::LinkKind::kAck, target,
-                slot_, config_.ack_bits)) ||
-            (injector_ &&
-             injector_->packet_lost(fault::LinkKind::kAck, target, slot_))) {
+        assert(host_up(hi));
+        if (data_rng_.next_bool(injector_.corruption_probability(
+                p_ack_corrupt_, fault::LinkKind::kAck, target, slot_,
+                config_.ack_bits)) ||
+            injector_.absorbs(fault::LinkKind::kAck, target, hi, slot_)) {
             ++stats_.ack_losses;
             t.delivered = true;
             h.outstanding.push_back(t);
@@ -310,7 +307,7 @@ void BulkChannelSim::step_transfers() {
 }
 
 void BulkChannelSim::step_scheduling() {
-    if (injector_ && injector_->scheduler_stalled(slot_)) {
+    if (injector_.scheduler_stalled(slot_)) {
         // The switch core is stalled: no configs are processed, no
         // grants issued. Pipeline commitments from earlier slots are
         // untouched; hosts simply see a grantless slot.
@@ -368,7 +365,7 @@ void BulkChannelSim::step_scheduling() {
     // Degraded-mode scheduling: crashed targets are masked out of the
     // requests and the precalculated claims (the hosts fit one word); a
     // crashed host was never heard, so its own row is empty.
-    const std::uint64_t down = injector_ ? injector_->down_hosts().word(0) : 0;
+    const std::uint64_t down = injector_.down_hosts().word(0);
     for (std::size_t h = 0; h < n; ++h) {
         const bool heard = decoded_cfgs_[h] && !(fenced_mask_ & (1U << h));
         req_row_.set_word(0, heard ? decoded_cfgs_[h]->req & ~down : 0U);
@@ -426,12 +423,8 @@ void BulkChannelSim::step_scheduling() {
 }
 
 void BulkChannelSim::step() {
-    if (injector_) {
-        injector_->begin_slot(slot_);
-        for (const std::size_t h : injector_->crashed().set_bits()) {
-            crash_host(h);
-        }
-    }
+    injector_.begin_slot(slot_);
+    for (const std::size_t h : injector_.crashed().set_bits()) crash_host(h);
     last_acks_.clear();
     step_arrivals();
     step_timeouts();
@@ -483,7 +476,7 @@ BulkChannelResult BulkChannelSim::run() {
 BulkChannelResult BulkChannelSim::result() const {
     BulkChannelResult r = stats_;
     r.sched = observer_.counters();
-    if (injector_) r.faults = injector_->counters();
+    r.faults = injector_.counters();
     r.mean_delay = delay_.mean();
     r.max_delay = delay_.count() ? delay_.max() : 0.0;
     r.p50_delay = delay_hist_.percentile(0.5);

@@ -66,7 +66,8 @@ struct BulkChannelConfig {
     /// default (every attempt waits ack_timeout).
     bool exponential_backoff = false;
     std::uint64_t backoff_cap = 64;  ///< ceiling for the backoff window
-    /// Deterministic fault schedule; empty() means no injector runs.
+    /// Deterministic fault schedule; the default, empty plan leaves
+    /// every slot quiet.
     fault::FaultPlan fault_plan;
     /// Validate the scheduler's unicast matching every slot with an
     /// obs::ParanoidChecker (diagonal-fairness checking stays off:
@@ -159,13 +160,7 @@ public:
 
     /// True while `host` is inside a fault-plan crash interval.
     [[nodiscard]] bool host_up(std::size_t host) const noexcept {
-        return !fault::host_down(injector_, host);
-    }
-
-    /// Fault injector (engaged iff the config's plan is non-empty).
-    [[nodiscard]] const std::optional<fault::FaultInjector>& fault_injector()
-        const noexcept {
-        return injector_;
+        return !injector_.down_hosts().test(host);
     }
 
     /// Baseline per-transfer corruption probabilities implied by the
@@ -263,7 +258,7 @@ private:
     util::BitFlipper config_flips_;
     util::BitFlipper grant_flips_;
 
-    std::optional<fault::FaultInjector> injector_;
+    fault::FaultInjector injector_;
     // Per-slot arrival destinations (one batched traffic_->arrivals()
     // call per slot instead of hosts virtual calls).
     std::vector<std::int32_t> arrival_buf_;

@@ -33,7 +33,8 @@ struct ClintConfig {
     bool integrated = false;
     /// Deterministic fault schedules, one per channel (the real system
     /// has physically separate switches and links per channel, so a
-    /// fault on one never touches the other). Empty plans cost nothing.
+    /// fault on one never touches the other). An empty plan leaves every
+    /// slot of its channel quiet.
     fault::FaultPlan bulk_faults;
     fault::FaultPlan quick_faults;
 };

@@ -1,5 +1,6 @@
 #include "clint/quick_channel.hpp"
 
+#include <cassert>
 #include <stdexcept>
 
 namespace lcf::clint {
@@ -17,7 +18,8 @@ QuickChannelSim::QuickChannelSim(
     std::unique_ptr<traffic::TrafficGenerator> traffic)
     : config_(config),
       traffic_(std::move(traffic)),
-      rng_(util::derive_seed(config.seed, 0x41CC)) {
+      rng_(util::derive_seed(config.seed, 0x41CC)),
+      injector_(config.fault_plan) {
     require(config_.hosts > 0, "hosts must be positive");
     // The quick channel draws its corruptions itself instead of through
     // an ErrorLink, so it validates the rate the way ErrorLink does.
@@ -34,10 +36,7 @@ QuickChannelSim::QuickChannelSim(
     }
     target_priority_.assign(config_.hosts, 0);
     last_delivered_id_.assign(config_.hosts, kNoneDelivered);
-    if (!config_.fault_plan.empty()) {
-        injector_.emplace(config_.fault_plan);
-        injector_->reset(config_.hosts);
-    }
+    injector_.reset(config_.hosts);
     p_data_corrupt_ = fault::corruption_probability(config_.bit_error_rate,
                                                     config_.payload_bits);
     p_ack_corrupt_ = fault::corruption_probability(config_.bit_error_rate,
@@ -61,12 +60,9 @@ void QuickChannelSim::crash_host(std::size_t host) {
 }
 
 void QuickChannelSim::step() {
-    if (injector_) {
-        injector_->begin_slot(slot_);
-        for (const std::size_t h : injector_->crashed().set_bits()) {
-            crash_host(h);
-        }
-    }
+    injector_.begin_slot(slot_);
+    for (const std::size_t h : injector_.crashed().set_bits()) crash_host(h);
+    const util::BitVec& down = injector_.down_hosts();
 
     // Arrivals into the send queues (one batched generator call).
     traffic_->arrivals(slot_, arrival_buf_.data());
@@ -76,7 +72,7 @@ void QuickChannelSim::step() {
         ++stats_.generated;
         const sim::Packet p{next_packet_id_++, static_cast<std::uint32_t>(h),
                             static_cast<std::uint32_t>(dst), slot_};
-        if (fault::host_down(injector_, h)) {
+        if (down.test(h)) {
             ++stats_.crash_lost;  // offered to a dead protocol stack
             continue;
         }
@@ -91,7 +87,7 @@ void QuickChannelSim::step() {
         Host& host = hosts_[h];
         host.sending_control = false;
         host.dest = kNone;
-        if (fault::host_down(injector_, h)) continue;  // transmits nothing
+        if (down.test(h)) continue;  // transmits nothing
         if (!host.control.empty()) {
             host.sending_control = true;
             host.dest = host.control.front();
@@ -158,23 +154,19 @@ void QuickChannelSim::step() {
         Host& host = hosts_[src];
         if (host.sending_control) {
             // Fire-and-forget ack: delivered unless a fault eats it.
-            if (injector_ &&
-                (fault::host_down(injector_, j) ||
-                 injector_->packet_lost(fault::LinkKind::kData, src, slot_))) {
+            if (injector_.absorbs(fault::LinkKind::kData, src, j, slot_)) {
                 ++control_lost_;
             }
             continue;
         }
         Outstanding& o = *host.inflight;
-        if (rng_.next_bool(fault::corruption_probability(
-                injector_, p_data_corrupt_, fault::LinkKind::kData, src, slot_,
+        if (rng_.next_bool(injector_.corruption_probability(
+                p_data_corrupt_, fault::LinkKind::kData, src, slot_,
                 config_.payload_bits))) {
             ++stats_.corruptions;  // lost in flight; timeout will retry
             continue;
         }
-        if (injector_ &&
-            (fault::host_down(injector_, j) ||
-             injector_->packet_lost(fault::LinkKind::kData, src, slot_))) {
+        if (injector_.absorbs(fault::LinkKind::kData, src, j, slot_)) {
             ++stats_.fault_losses;  // absorbed in flight; timeout will retry
             continue;
         }
@@ -193,14 +185,16 @@ void QuickChannelSim::step() {
         } else {
             ++stats_.duplicate_deliveries;
         }
-        if (rng_.next_bool(fault::corruption_probability(
-                injector_, p_ack_corrupt_, fault::LinkKind::kAck, j, slot_,
+        if (rng_.next_bool(injector_.corruption_probability(
+                p_ack_corrupt_, fault::LinkKind::kAck, j, slot_,
                 config_.ack_bits))) {
             ++stats_.corruptions;  // ack lost; sender will retransmit
             continue;
         }
-        if (injector_ &&
-            injector_->packet_lost(fault::LinkKind::kAck, j, slot_)) {
+        // The ack goes back to src, which is up: a down host never
+        // transmits, so the liveness half of absorbs() is always false.
+        assert(!down.test(src));
+        if (injector_.absorbs(fault::LinkKind::kAck, j, src, slot_)) {
             ++stats_.fault_losses;  // ack absorbed; sender will retransmit
             continue;
         }
@@ -245,7 +239,7 @@ QuickChannelResult QuickChannelSim::run() {
 
 QuickChannelResult QuickChannelSim::result() const {
     QuickChannelResult r = stats_;
-    if (injector_) r.faults = injector_->counters();
+    r.faults = injector_.counters();
     r.mean_delay = delay_.mean();
     r.max_delay = delay_.count() ? delay_.max() : 0.0;
     r.delivery_ratio = r.generated == 0

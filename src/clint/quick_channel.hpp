@@ -47,7 +47,8 @@ struct QuickChannelConfig {
     std::size_t ack_bits = 64;
     std::uint64_t ack_timeout = 2;  ///< slots without ack before retry
     std::size_t max_retries = 16;   ///< give up (and count) after this many
-    /// Deterministic fault schedule; empty() means no injector runs.
+    /// Deterministic fault schedule; the default, empty plan leaves
+    /// every slot quiet.
     fault::FaultPlan fault_plan;
 };
 
@@ -102,12 +103,6 @@ public:
     }
     [[nodiscard]] double ack_corrupt_probability() const noexcept {
         return p_ack_corrupt_;
-    }
-
-    /// Fault injector (engaged iff the config's plan is non-empty).
-    [[nodiscard]] const std::optional<fault::FaultInjector>& fault_injector()
-        const noexcept {
-        return injector_;
     }
 
     /// Queue a control packet (a bulk acknowledgment, §4.1) at `host`
@@ -168,7 +163,7 @@ private:
     std::vector<std::uint64_t> last_delivered_id_;
     util::RunningStat delay_;
 
-    std::optional<fault::FaultInjector> injector_;
+    fault::FaultInjector injector_;
     // Per-slot arrival destinations (one batched traffic_->arrivals()
     // call per slot instead of hosts virtual calls).
     std::vector<std::int32_t> arrival_buf_;

@@ -10,6 +10,9 @@ namespace lcf::fault {
 
 namespace {
 
+// Stream index spacing between link kinds: kind * kStreamsPerKind + index.
+constexpr std::size_t kStreamsPerKind = 4096;
+
 constexpr bool in_interval(std::uint64_t slot, std::uint64_t begin,
                            std::uint64_t end) noexcept {
     return slot >= begin && slot < end;
@@ -78,13 +81,25 @@ void FaultInjector::reset(std::size_t hosts) {
     check_links(plan_.bit_error_epochs, hosts, "bit_error_epoch");
     check_links(plan_.packet_loss_epochs, hosts, "packet_loss_epoch");
     check_links(plan_.link_down_intervals, hosts, "link_down_interval");
+    // Only these entries can leave a slot non-quiet, and only a
+    // non-quiet slot draws.
+    const bool draws = !plan_.bit_error_epochs.empty() ||
+                       !plan_.packet_loss_epochs.empty() ||
+                       !plan_.link_down_intervals.empty();
+    if (draws && hosts > kStreamsPerKind) {
+        throw std::invalid_argument(
+            "hosts " + std::to_string(hosts) +
+            " exceeds the 4096 fault RNG streams per link kind");
+    }
     hosts_ = hosts;
     rngs_.clear();
-    rngs_.reserve(kLinkKinds * hosts);
-    for (std::size_t kind = 0; kind < kLinkKinds; ++kind) {
-        for (std::size_t index = 0; index < hosts; ++index) {
-            rngs_.emplace_back(
-                util::derive_seed(plan_.seed, kind * 4096 + index));
+    if (draws) {
+        rngs_.reserve(kLinkKinds * hosts);
+        for (std::size_t kind = 0; kind < kLinkKinds; ++kind) {
+            for (std::size_t index = 0; index < hosts; ++index) {
+                rngs_.emplace_back(util::derive_seed(
+                    plan_.seed, kind * kStreamsPerKind + index));
+            }
         }
     }
     down_ = util::BitVec(hosts);
@@ -94,11 +109,19 @@ void FaultInjector::reset(std::size_t hosts) {
 
 util::Xoshiro256& FaultInjector::rng_for(LinkKind kind,
                                          std::size_t index) noexcept {
-    assert(index < hosts_);
+    assert(index < hosts_ && !rngs_.empty());
     return rngs_[static_cast<std::size_t>(kind) * hosts_ + index];
 }
 
 void FaultInjector::begin_slot(std::uint64_t slot) {
+    if (scheduler_stalled(slot)) ++counters_.stalled_slots;
+    quiet_slot_.reset();
+    if (!any_active(plan_.link_down_intervals, slot) &&
+        !any_active(plan_.packet_loss_epochs, slot) &&
+        !any_active(plan_.bit_error_epochs, slot)) {
+        quiet_slot_ = slot;
+    }
+    if (plan_.host_crashes.empty()) return;  // down_ and crashed_ stay empty
     // crashed_ holds the previous down set while the new one is built.
     std::swap(down_, crashed_);
     down_.clear();
@@ -108,13 +131,6 @@ void FaultInjector::begin_slot(std::uint64_t slot) {
     counters_.restarts += crashed_.count() - crashed_.and_count(down_);
     crashed_.assign_subtract(down_, crashed_);
     counters_.crashes += crashed_.count();
-    if (scheduler_stalled(slot)) ++counters_.stalled_slots;
-    quiet_slot_.reset();
-    if (!any_active(plan_.link_down_intervals, slot) &&
-        !any_active(plan_.packet_loss_epochs, slot) &&
-        !any_active(plan_.bit_error_epochs, slot)) {
-        quiet_slot_ = slot;
-    }
 }
 
 bool FaultInjector::link_up(LinkKind kind, std::size_t index,
@@ -167,7 +183,6 @@ std::optional<std::size_t> FaultInjector::transmit(
 
 bool FaultInjector::packet_lost(LinkKind kind, std::size_t index,
                                 std::uint64_t slot) {
-    if (quiet(slot)) return false;
     if (!link_up(kind, index, slot)) {
         ++counters_.packets_dropped;
         return true;
@@ -184,16 +199,6 @@ bool FaultInjector::packet_lost(LinkKind kind, std::size_t index,
 
 double corruption_probability(double ber, std::size_t bits) noexcept {
     return 1.0 - std::pow(1.0 - ber, static_cast<double>(bits));
-}
-
-double corruption_probability(const std::optional<FaultInjector>& injector,
-                              double base, LinkKind kind, std::size_t index,
-                              std::uint64_t slot, std::size_t bits) noexcept {
-    if (!injector || injector->quiet(slot)) return base;
-    const double extra = injector->extra_ber(kind, index, slot);
-    if (extra <= 0.0) return base;
-    return 1.0 - (1.0 - base) *
-                     std::pow(1.0 - extra, static_cast<double>(bits));
 }
 
 }  // namespace lcf::fault

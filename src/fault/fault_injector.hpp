@@ -1,15 +1,16 @@
 #pragma once
-// Deterministic execution of a FaultPlan. One FaultInjector accompanies
-// one simulated channel/switch; the channel routes every wire through
-// transmit() (which wraps the channel's own ErrorLink transforms with
-// the plan's epoch faults) unless quiet() says the plan cannot touch it,
-// calls begin_slot() at the top of each slot
-// and reads the down-host set and the stall predicate. All randomness comes from per-link RNG streams derived
-// from the plan's seed, so fault realisations are independent of the
-// simulation's traffic and baseline-error draws — adding a fault plan
-// never perturbs what the underlying run would have done, and the same
-// plan replays bit-identically.
+// Deterministic execution of a FaultPlan. Every simulated channel/switch
+// owns one FaultInjector, even for an empty plan (whose slots are all
+// quiet): it calls begin_slot() at the top of each slot, reads the
+// down-host set and the stall predicate, and routes every wire through
+// transmit() and every abstract packet through absorbs(). All randomness
+// comes from per-link RNG streams derived from the plan's seed, so fault
+// realisations are independent of the simulation's traffic and
+// baseline-error draws — adding a fault plan never perturbs what the
+// underlying run would have done, and the same plan replays
+// bit-identically.
 
+#include <cmath>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -45,23 +46,28 @@ public:
     /// Validates the plan (throws std::invalid_argument when malformed).
     explicit FaultInjector(FaultPlan plan);
 
-    /// Prepare for a run over `hosts` hosts/ports: derives one RNG
-    /// stream per (link kind, index), marks every host up and forgets
-    /// all counters. Throws std::invalid_argument, naming the field,
-    /// when a crash targets a host >= `hosts` or a link selector other
-    /// than kAllLinks indexes past the last host.
+    /// Prepare for a run over `hosts` hosts/ports: marks every host up,
+    /// forgets all counters and, when the plan has a bit-error,
+    /// packet-loss or link-down entry (only those make a slot draw),
+    /// derives one RNG stream per (link kind, index). Throws
+    /// std::invalid_argument, naming the field, when a crash targets a
+    /// host >= `hosts`, a link selector other than kAllLinks indexes
+    /// past the last host, or streams are derived for more than 4096
+    /// hosts (the streams of one link kind would run into the next's).
     void reset(std::size_t hosts);
 
-    /// Per-slot liveness: recomputes down_hosts() for `slot` and counts
-    /// crash/restart transitions as host state changes since the last
-    /// call (not plan entries), plus scheduler-stall slots. Call once
-    /// per simulated slot, in slot order.
+    /// Per-slot liveness: recomputes down_hosts() for `slot` (only when
+    /// the plan has crash entries) and counts crash/restart transitions
+    /// as host state changes since the last call (not plan entries),
+    /// plus scheduler-stall slots. Call once per simulated slot, in
+    /// slot order.
     void begin_slot(std::uint64_t slot);
 
     /// True when the last begin_slot() was for `slot` and found no
     /// link-down, packet-loss or bit-error entry active: every wire then
-    /// passes untouched without a draw, and transmit(), packet_lost()
-    /// and corruption_probability() return at once.
+    /// passes untouched without a draw, and transmit(), absorbs() (past
+    /// its liveness test) and corruption_probability() return at once.
+    /// Every slot of an empty plan is quiet.
     [[nodiscard]] bool quiet(std::uint64_t slot) const noexcept {
         return quiet_slot_ == slot;
     }
@@ -94,12 +100,35 @@ public:
         LinkKind kind, std::size_t index, std::uint64_t slot,
         std::span<std::uint8_t> wire);
 
-    /// Abstract path, for payloads modelled by nominal size without
-    /// materialised bytes: link-down check plus a whole-packet loss
-    /// draw. True when the packet is lost. (Epoch bit errors on
-    /// abstract paths are folded into the channel's own corruption
-    /// probability by corruption_probability() below.)
+    /// Link-down check plus a whole-packet loss draw for one packet on
+    /// link (kind, index) at `slot`. True when the packet is lost.
     bool packet_lost(LinkKind kind, std::size_t index, std::uint64_t slot);
+
+    /// Abstract path, for payloads modelled by nominal size without
+    /// materialised bytes: true when a packet sent on link (kind, index)
+    /// to host `dest` is absorbed, because `dest` is down or by
+    /// packet_lost(). (Epoch bit errors on abstract paths are folded
+    /// into the channel's own corruption draw by
+    /// corruption_probability() below.)
+    bool absorbs(LinkKind kind, std::size_t index, std::size_t dest,
+                 std::uint64_t slot) {
+        return down_.test(dest) ||
+               (!quiet(slot) && packet_lost(kind, index, slot));
+    }
+
+    /// Corruption probability of a `bits`-bit packet on link (kind,
+    /// index) at `slot`: the channel's baseline probability `base`
+    /// composed with the plan's extra bit-error rate there,
+    /// 1-(1-base)*(1-extra)^bits. Returns `base` in a quiet slot or
+    /// when no epoch is active on the link.
+    [[nodiscard]] double corruption_probability(
+        double base, LinkKind kind, std::size_t index, std::uint64_t slot,
+        std::size_t bits) const noexcept {
+        const double extra = quiet(slot) ? 0.0 : extra_ber(kind, index, slot);
+        if (extra <= 0.0) return base;
+        return 1.0 - (1.0 - base) *
+                         std::pow(1.0 - extra, static_cast<double>(bits));
+    }
 
     [[nodiscard]] const FaultCounters& counters() const noexcept {
         return counters_;
@@ -111,7 +140,7 @@ private:
 
     FaultPlan plan_;
     std::size_t hosts_ = 0;
-    std::vector<util::Xoshiro256> rngs_;  // kLinkKinds * hosts_
+    std::vector<util::Xoshiro256> rngs_;  // kLinkKinds * hosts_, or none
     util::BitVec down_;
     util::BitVec crashed_;
     std::optional<std::uint64_t> quiet_slot_;  // see quiet()
@@ -119,23 +148,9 @@ private:
     FaultCounters counters_;
 };
 
-/// True while an injector runs and has `host` in down_hosts().
-[[nodiscard]] inline bool host_down(
-    const std::optional<FaultInjector>& injector, std::size_t host) noexcept {
-    return injector && injector->down_hosts().test(host);
-}
-
 /// Independent-bit corruption probability of a `bits`-bit packet at
 /// bit-error rate `ber`: 1-(1-ber)^bits.
 [[nodiscard]] double corruption_probability(double ber,
                                             std::size_t bits) noexcept;
-
-/// Corruption probability of a `bits`-bit packet on link (kind, index)
-/// at `slot`: the channel's baseline probability `base` composed with
-/// the plan's extra bit-error rate there, 1-(1-base)*(1-extra)^bits.
-/// Returns `base` when no injector runs or no epoch is active.
-[[nodiscard]] double corruption_probability(
-    const std::optional<FaultInjector>& injector, double base, LinkKind kind,
-    std::size_t index, std::uint64_t slot, std::size_t bits) noexcept;
 
 }  // namespace lcf::fault

@@ -110,15 +110,6 @@ struct FaultPlan {
     /// traffic or baseline-error draws.
     std::uint64_t seed = 0x0F4117;
 
-    /// True when the plan schedules nothing — simulations skip injector
-    /// construction entirely and behave bit-identically to a build
-    /// without the fault layer.
-    [[nodiscard]] bool empty() const noexcept {
-        return bit_error_epochs.empty() && packet_loss_epochs.empty() &&
-               link_down_intervals.empty() && host_crashes.empty() &&
-               scheduler_stalls.empty();
-    }
-
     /// Throw std::invalid_argument on malformed entries.
     void validate() const;
 

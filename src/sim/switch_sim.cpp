@@ -40,7 +40,8 @@ SwitchSim::SwitchSim(const SimConfig& config,
                config.record_service_matrix),
       requests_(config.ports),
       matching_(config.ports),
-      observer_(make_observer(config, scheduler_.get())) {
+      observer_(make_observer(config, scheduler_.get())),
+      injector_(config.fault_plan) {
     if (config_.ports == 0) {
         throw std::invalid_argument("ports must be positive");
     }
@@ -89,10 +90,7 @@ SwitchSim::SwitchSim(const SimConfig& config,
             queue_lengths_.assign(config_.ports * config_.ports, 0);
         }
     }
-    if (!config_.fault_plan.empty()) {
-        injector_.emplace(config_.fault_plan);
-        injector_->reset(config_.ports);
-    }
+    injector_.reset(config_.ports);
     if (config_.clos_middle > 0) {
         if (config_.clos_group == 0 ||
             config_.ports % config_.clos_group != 0) {
@@ -108,7 +106,7 @@ bool SwitchSim::stalled() {
     // A fault-plan stall freezes the switch core for the slot: no
     // scheduling runs and no matching is produced. Buffered packets stay
     // put; only the output links (speedup drain) keep moving.
-    if (!injector_ || !injector_->scheduler_stalled(slot_)) return false;
+    if (!injector_.scheduler_stalled(slot_)) return false;
     observer_.stall();
     matching_.reset(config_.ports, config_.ports);
     return true;
@@ -118,9 +116,9 @@ std::size_t SwitchSim::schedule() {
     // Degraded mode: crashed ports vanish from a masked copy, so
     // requests_ itself keeps mirroring the queues.
     const sched::RequestMatrix* requests = &requests_;
-    if (injector_ && injector_->down_hosts().any()) {
+    if (injector_.down_hosts().any()) {
         masked_ = requests_;
-        masked_.mask_down_ports(injector_->down_hosts());
+        masked_.mask_down_ports(injector_.down_hosts());
         requests = &masked_;
     }
     scheduler_->schedule(*requests, matching_);
@@ -155,7 +153,7 @@ void SwitchSim::step_arrivals() {
         const std::int32_t dst = arrival_buf_[i];
         if (dst == traffic::kNoArrival) continue;
         metrics_.on_generated();
-        if (fault::host_down(injector_, i)) {
+        if (injector_.down_hosts().test(i)) {
             // A crashed host offers the packet into the void.
             metrics_.on_dropped();
             ++next_packet_id_;
@@ -260,7 +258,7 @@ void SwitchSim::step_fifo_mode() {
 }
 
 void SwitchSim::step() {
-    if (injector_) injector_->begin_slot(slot_);
+    injector_.begin_slot(slot_);
     step_arrivals();
     switch (config_.mode) {
         case SwitchMode::kVoq:
@@ -336,7 +334,7 @@ SimResult SwitchSim::result() const {
                        : 0.0;
     r.ports = config_.ports;
     r.sched = observer_.counters();
-    if (injector_) r.faults = injector_->counters();
+    r.faults = injector_.counters();
     const std::uint64_t measured_slots =
         slot_ > config_.warmup_slots ? slot_ - config_.warmup_slots : 0;
     r.throughput =

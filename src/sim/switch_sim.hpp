@@ -85,7 +85,8 @@ struct SimConfig {
     /// SwitchSim::trace() and exportable as CSV/JSONL.
     std::size_t trace_capacity = 0;
 
-    /// Deterministic fault schedule (empty() = no injector runs).
+    /// Deterministic fault schedule (the default, empty plan leaves
+    /// every slot quiet).
     /// Interpretation in this model: a crashed host's port neither
     /// offers arrivals (they count generated + dropped) nor takes part
     /// in scheduling — its request row and its column are masked out of
@@ -146,11 +147,6 @@ public:
     [[nodiscard]] const obs::SchedObserver& observer() const noexcept {
         return observer_;
     }
-    /// Fault injector (engaged iff the config's plan is non-empty).
-    [[nodiscard]] const std::optional<fault::FaultInjector>& fault_injector()
-        const noexcept {
-        return injector_;
-    }
 
 private:
     void step_arrivals();
@@ -192,7 +188,7 @@ private:
     bool track_queue_lengths_ = false;
 
     obs::SchedObserver observer_;
-    std::optional<fault::FaultInjector> injector_;
+    fault::FaultInjector injector_;
 
     std::optional<fabric::ClosNetwork> clos_;
     std::uint64_t fabric_blocked_ = 0;

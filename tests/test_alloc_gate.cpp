@@ -1,15 +1,21 @@
-// Allocation gate: a warm Clint slot must not touch the heap. This
+// Allocation gate: a warm simulated slot must not touch the heap. This
 // executable replaces the global operator new with a counting one (which
-// is why it is not part of lcf_tests) and runs the bulk and quick
-// channels in lockstep at the repository benchmark's clint_faulted
-// configuration: 16 hosts, bit-error rate 1e-5, bounded retries with
-// exponential backoff, multicasts and a plan with a host crash, a
-// downlink outage, a scheduler stall and an uplink bit-error epoch, all
-// inside the measured window. After a warm-up the window may allocate at
-// most one hundredth of its slot count, so a single allocation per slot
-// overshoots the budget 100-fold. What a warm window does allocate is
-// containers growing to a new high-water mark, mostly the sequence
-// trackers' per-flow reorder lists: 165 times in this window, about as
+// is why it is not part of lcf_tests). It runs
+//  - the Clint bulk and quick channels in lockstep at the repository
+//    benchmark's clint_faulted configuration: 16 hosts, bit-error rate
+//    1e-5, bounded retries with exponential backoff, multicasts and a
+//    plan with a host crash, a downlink outage, a scheduler stall and an
+//    uplink bit-error epoch, all inside the measured window;
+//  - SwitchSim at 16 ports and load 0.9 in kVoq mode (speedup 1 and 2),
+//    kFifo and kOutputBuffered mode, each with an empty plan and with a
+//    crash, a stall and a bit-error epoch inside the window;
+//  - schedule() of every registered scheduler on prebuilt request
+//    matrices.
+// After a warm-up a window may allocate at most one hundredth of its
+// slot (or call) count, so a single allocation per slot overshoots the
+// budget 100-fold. What a warm window does allocate is containers
+// growing to a new high-water mark, mostly the bulk channel's sequence
+// trackers' per-flow reorder lists: 165 times in its window, about as
 // often in a window after a warm-up twice as long.
 
 #include <gtest/gtest.h>
@@ -21,10 +27,18 @@
 #include <memory>
 #include <new>
 
+#include <string>
+#include <vector>
+
 #include "clint/bulk_channel.hpp"
 #include "clint/quick_channel.hpp"
+#include "core/factory.hpp"
 #include "fault/fault_plan.hpp"
+#include "sched/matching.hpp"
+#include "sched/request_matrix.hpp"
+#include "sim/switch_sim.hpp"
 #include "traffic/traffic.hpp"
+#include "util/bitvec.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -175,3 +189,134 @@ TEST(AllocationGate, WarmClintChannelsStayUnderBudget) {
 
 }  // namespace
 }  // namespace lcf::clint
+
+namespace lcf {
+namespace {
+
+constexpr std::uint64_t kSimWarmup = 20000;
+constexpr std::uint64_t kSimWindow = 20000;
+constexpr std::size_t kSimBudget = kSimWindow / 100;
+constexpr std::size_t kPorts = 16;
+
+struct SimCase {
+    const char* name;
+    sim::SwitchMode mode;
+    std::size_t speedup;
+    bool faults;
+};
+
+// Allocations made by the steps of one warm SwitchSim window.
+std::size_t switch_sim_window(const SimCase& c) {
+    sim::SimConfig config;
+    config.ports = kPorts;
+    config.slots = kSimWarmup + kSimWindow;
+    config.warmup_slots = kSimWarmup;
+    config.mode = c.mode;
+    config.speedup = c.speedup;
+    if (c.faults) {
+        constexpr std::uint64_t at = kSimWarmup;
+        constexpr std::uint64_t w = kSimWindow;
+        config.fault_plan.add_host_crash(3, at + w / 4, at + w / 4 + 400)
+            .add_scheduler_stall(at + 3 * w / 4, at + 3 * w / 4 + 64)
+            .add_bit_error_epoch({fault::LinkKind::kData, fault::kAllLinks},
+                                 at + w / 3, at + w / 3 + 2000, 1e-4);
+    }
+    std::unique_ptr<sched::Scheduler> scheduler;
+    if (c.mode == sim::SwitchMode::kVoq) {
+        scheduler = core::make_scheduler("lcf_central");
+    } else if (c.mode == sim::SwitchMode::kFifo) {
+        scheduler = core::make_scheduler("fifo");
+    }
+    sim::SwitchSim s(config, std::move(scheduler),
+                     traffic::make_traffic("uniform", 0.9));
+    for (std::uint64_t t = 0; t < kSimWarmup; ++t) s.step();
+    const std::size_t before = g_allocations;
+    for (std::uint64_t t = 0; t < kSimWindow; ++t) s.step();
+    const std::size_t allocations = g_allocations - before;
+    if (c.faults) {
+        // The crash and the stall fell inside the window.
+        const sim::SimResult r = s.result();
+        EXPECT_EQ(r.faults.crashes, 1u) << c.name;
+        EXPECT_EQ(r.faults.stalled_slots, 64u) << c.name;
+    }
+    return allocations;
+}
+
+TEST(AllocationGate, WarmSwitchSimStaysUnderBudget) {
+    using sim::SwitchMode;
+    const SimCase cases[] = {
+        {"voq", SwitchMode::kVoq, 1, false},
+        {"voq faulted", SwitchMode::kVoq, 1, true},
+        {"voq speedup 2", SwitchMode::kVoq, 2, false},
+        {"voq speedup 2 faulted", SwitchMode::kVoq, 2, true},
+        {"fifo", SwitchMode::kFifo, 1, false},
+        {"fifo faulted", SwitchMode::kFifo, 1, true},
+        {"outbuf", SwitchMode::kOutputBuffered, 1, false},
+        {"outbuf faulted", SwitchMode::kOutputBuffered, 1, true},
+    };
+    for (const SimCase& c : cases) {
+        const std::size_t allocations = switch_sim_window(c);
+        EXPECT_LE(allocations, kSimBudget)
+            << "SwitchSim (" << c.name << ") allocated " << allocations
+            << " times in " << kSimWindow << " warm slots";
+        std::cout << "SwitchSim " << c.name << ": " << allocations
+                  << " allocations in " << kSimWindow
+                  << " warm slots (budget " << kSimBudget << ")\n";
+    }
+}
+
+constexpr std::size_t kMatrices = 64;
+constexpr std::size_t kScheduleWarmup = 2000;
+constexpr std::size_t kScheduleCalls = 20000;
+constexpr std::size_t kScheduleBudget = kScheduleCalls / 100;
+
+TEST(AllocationGate, WarmScheduleCallsStayUnderBudget) {
+    // Request matrices at densities from 1/8 to 1 and VOQ lengths for
+    // the weight-aware schedulers, all built before anything is counted.
+    util::Xoshiro256 rng(7);
+    std::vector<sched::RequestMatrix> requests;
+    std::vector<std::vector<std::uint32_t>> lengths;
+    util::BitVec row(kPorts);
+    for (std::size_t m = 0; m < kMatrices; ++m) {
+        const double density = static_cast<double>(m % 8 + 1) / 8.0;
+        sched::RequestMatrix r(kPorts);
+        std::vector<std::uint32_t> len(kPorts * kPorts, 0);
+        for (std::size_t i = 0; i < kPorts; ++i) {
+            row.clear();
+            for (std::size_t j = 0; j < kPorts; ++j) {
+                if (rng.next_bool(density)) {
+                    row.set(j);
+                    len[i * kPorts + j] =
+                        1 + static_cast<std::uint32_t>(rng.next_below(8));
+                }
+            }
+            r.assign_row(i, row);
+        }
+        requests.push_back(std::move(r));
+        lengths.push_back(std::move(len));
+    }
+    for (const std::string& name : core::scheduler_names()) {
+        auto scheduler = core::make_scheduler(name);
+        scheduler->reset(kPorts, kPorts);
+        sched::Matching matching(kPorts);
+        const bool weighted = scheduler->wants_queue_lengths();
+        std::size_t before = 0;
+        for (std::size_t call = 0; call < kScheduleWarmup + kScheduleCalls;
+             ++call) {
+            if (call == kScheduleWarmup) before = g_allocations;
+            const std::size_t m = call % kMatrices;
+            if (weighted) scheduler->observe_queue_lengths(lengths[m], kPorts);
+            scheduler->schedule(requests[m], matching);
+        }
+        const std::size_t allocations = g_allocations - before;
+        EXPECT_LE(allocations, kScheduleBudget)
+            << name << " allocated " << allocations << " times in "
+            << kScheduleCalls << " warm schedule() calls";
+        std::cout << name << ": " << allocations << " allocations in "
+                  << kScheduleCalls << " warm schedule() calls (budget "
+                  << kScheduleBudget << ")\n";
+    }
+}
+
+}  // namespace
+}  // namespace lcf

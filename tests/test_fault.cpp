@@ -53,9 +53,13 @@ namespace {
 
 TEST(FaultPlan, EmptyPlanIsEmpty) {
     FaultPlan plan;
-    EXPECT_TRUE(plan.empty());
+    EXPECT_TRUE(plan.bit_error_epochs.empty() &&
+                plan.packet_loss_epochs.empty() &&
+                plan.link_down_intervals.empty() &&
+                plan.host_crashes.empty() && plan.scheduler_stalls.empty());
+    EXPECT_NO_THROW(plan.validate());
     plan.add_scheduler_stall(10, 20);
-    EXPECT_FALSE(plan.empty());
+    EXPECT_EQ(plan.scheduler_stalls.size(), 1u);
 }
 
 TEST(FaultPlan, ValidateRejectsMalformedEntries) {
@@ -243,19 +247,61 @@ TEST(FaultInjector, CorruptionProbabilityComposesEpochsOverBase) {
     EXPECT_DOUBLE_EQ(corruption_probability(1e-3, 64),
                      1.0 - std::pow(1.0 - 1e-3, 64.0));
     const double base = corruption_probability(1e-4, 100);
-    EXPECT_DOUBLE_EQ(corruption_probability(std::nullopt, base, LinkKind::kData,
-                                            0, 5, 100),
-                     base);
-    std::optional<FaultInjector> inj(
+    FaultInjector none{FaultPlan{}};
+    none.reset(2);
+    none.begin_slot(5);
+    EXPECT_DOUBLE_EQ(
+        none.corruption_probability(base, LinkKind::kData, 0, 5, 100), base);
+    FaultInjector inj(
         FaultPlan{}.add_bit_error_epoch({LinkKind::kData, 1}, 10, 20, 0.01));
-    inj->reset(2);
+    inj.reset(2);
     EXPECT_DOUBLE_EQ(
-        corruption_probability(inj, base, LinkKind::kData, 1, 9, 100), base);
+        inj.corruption_probability(base, LinkKind::kData, 1, 9, 100), base);
     EXPECT_DOUBLE_EQ(
-        corruption_probability(inj, base, LinkKind::kData, 0, 15, 100), base);
+        inj.corruption_probability(base, LinkKind::kData, 0, 15, 100), base);
     EXPECT_DOUBLE_EQ(
-        corruption_probability(inj, base, LinkKind::kData, 1, 15, 100),
+        inj.corruption_probability(base, LinkKind::kData, 1, 15, 100),
         1.0 - (1.0 - base) * std::pow(0.99, 100.0));
+}
+
+TEST(FaultInjector, EmptyPlanIsQuietEverySlot) {
+    constexpr std::size_t kHosts = 8;
+    FaultInjector inj{FaultPlan{}};
+    inj.reset(kHosts);
+    const double base = corruption_probability(1e-4, 100);
+    const std::vector<std::uint8_t> sent{0x12, 0x34, 0x56};
+    for (std::uint64_t s = 0; s < 300; ++s) {
+        inj.begin_slot(s);
+        ASSERT_TRUE(inj.quiet(s)) << "slot " << s;
+        for (std::size_t k = 0; k < kLinkKinds; ++k) {
+            const auto kind = static_cast<LinkKind>(k);
+            const std::size_t index = s % kHosts;
+            std::vector<std::uint8_t> wire = sent;
+            EXPECT_EQ(inj.transmit(kind, index, s, wire),
+                      std::optional<std::size_t>{sent.size()});
+            EXPECT_EQ(wire, sent);
+            EXPECT_FALSE(inj.absorbs(kind, index, (s + 3) % kHosts, s));
+            EXPECT_EQ(inj.corruption_probability(base, kind, index, s, 100),
+                      base);
+        }
+        EXPECT_TRUE(inj.down_hosts().none()) << "slot " << s;
+    }
+    EXPECT_EQ(inj.counters(), FaultCounters{});
+}
+
+TEST(FaultInjector, RejectsMoreHostsThanStreamsPerKind) {
+    // Link (kind, index) draws from stream kind * 4096 + index, so past
+    // 4096 hosts uplink 4096 and downlink 0 would share one stream.
+    FaultInjector link(
+        FaultPlan{}.add_packet_loss({LinkKind::kData, 0}, 0, 10, 0.5));
+    EXPECT_EQ(invalid_argument_message([&] { link.reset(4097); }),
+              "hosts 4097 exceeds the 4096 fault RNG streams per link kind");
+    EXPECT_NO_THROW(link.reset(4096));
+    // Without link entries nothing draws and no stream is derived.
+    FaultInjector crash(FaultPlan{}.add_host_crash(0, 5, 10));
+    EXPECT_NO_THROW(crash.reset(4097));
+    FaultInjector none{FaultPlan{}};
+    EXPECT_NO_THROW(none.reset(4097));
 }
 
 TEST(FaultInjector, SamePlanReplaysIdentically) {
@@ -337,7 +383,6 @@ TEST(FaultGolden, BulkChannelBitIdenticalWithEmptyPlan) {
     BulkChannelSim sim(c, std::make_unique<traffic::BernoulliUniform>(0.7));
     sim.enqueue_multicast(2, 0b10110101);
     const auto r = sim.run();
-    EXPECT_FALSE(sim.fault_injector().has_value());
     EXPECT_EQ(r.generated, 27884u);
     EXPECT_EQ(r.delivered_unique, 27865u);
     EXPECT_EQ(r.duplicate_deliveries, 0u);
@@ -361,7 +406,7 @@ TEST(FaultGolden, QuickChannelBitIdenticalWithEmptyPlan) {
     c.seed = 77;
     QuickChannelSim sim(c, std::make_unique<traffic::BernoulliUniform>(0.3));
     const auto r = sim.run();
-    EXPECT_FALSE(sim.fault_injector().has_value());
+    EXPECT_EQ(r.faults, fault::FaultCounters{});
     EXPECT_EQ(r.generated, 12066u);
     EXPECT_EQ(r.delivered_unique, 12065u);
     EXPECT_EQ(r.duplicate_deliveries, 0u);
@@ -402,7 +447,7 @@ TEST(FaultGolden, SwitchSimBitIdenticalWithEmptyPlan) {
     sim::SwitchSim s(c, core::make_scheduler("lcf_central_rr"),
                      std::make_unique<traffic::BernoulliUniform>(0.9));
     const auto r = s.run();
-    EXPECT_FALSE(s.fault_injector().has_value());
+    EXPECT_EQ(r.faults, fault::FaultCounters{});
     EXPECT_EQ(r.generated, 115181u);
     EXPECT_EQ(r.delivered, 115080u);
     EXPECT_EQ(r.dropped, 0u);
@@ -437,6 +482,24 @@ TEST(BulkChannelFaults, CrashDestroysStateAndRestartResumes) {
     EXPECT_EQ(r.faults.restarts, 1u);
     // Delivery kept happening after the restart.
     EXPECT_GT(r.delivered_unique, mid.delivered_unique);
+    EXPECT_TRUE(sim.accounting().balanced());
+}
+
+TEST(BulkChannelFaults, TransferToHostCrashedSinceItsGrantIsAbsorbed) {
+    // Grants issued in the slot before a crash are spent in the crash
+    // slot; those naming the crashed host must not deliver. The links
+    // are error-free, so every data corruption counted here is such a
+    // transfer, absorbed by the target's liveness test.
+    BulkChannelConfig c;
+    c.hosts = 8;
+    c.slots = 3000;
+    c.warmup_slots = 100;
+    c.seed = 5;
+    c.fault_plan.add_host_crash(2, 1000, 1200).add_host_crash(5, 2000);
+    BulkChannelSim sim(c, std::make_unique<traffic::BernoulliUniform>(0.9));
+    const auto r = sim.run();
+    EXPECT_EQ(r.faults.crashes, 2u);
+    EXPECT_GT(r.data_corruptions, 0u);
     EXPECT_TRUE(sim.accounting().balanced());
 }
 
