@@ -84,6 +84,45 @@ TEST(Xoshiro256, NextBelowIsApproximatelyUniform) {
     EXPECT_LT(chi2, 27.9);
 }
 
+// next_below as first written: the rejection threshold (0 - bound) %
+// bound computed on every call. It is the oracle the production form,
+// which computes the threshold only when the low word is below bound,
+// must match value for value and draw for draw.
+std::uint64_t next_below_always_threshold(Xoshiro256& rng,
+                                          std::uint64_t bound,
+                                          std::uint64_t& rejections) {
+    const std::uint64_t threshold = (0 - bound) % bound;
+    while (true) {
+        const __uint128_t m = static_cast<__uint128_t>(rng()) * bound;
+        if (static_cast<std::uint64_t>(m) >= threshold) {
+            return static_cast<std::uint64_t>(m >> 64);
+        }
+        ++rejections;
+    }
+}
+
+TEST(Xoshiro256, NextBelowMatchesTheAlwaysThresholdForm) {
+    constexpr int kDraws = 100000;
+    for (const std::uint64_t bound :
+         {1ULL, 2ULL, 3ULL, 16ULL, 17ULL, 1000ULL, (1ULL << 32) + 1,
+          (1ULL << 63) + 1, ~0ULL}) {
+        Xoshiro256 rng(bound);
+        Xoshiro256 oracle(bound);
+        std::uint64_t rejections = 0;
+        for (int k = 0; k < kDraws; ++k) {
+            ASSERT_EQ(rng.next_below(bound),
+                      next_below_always_threshold(oracle, bound, rejections))
+                << "bound " << bound << " draw " << k;
+        }
+        EXPECT_EQ(rng(), oracle()) << "state diverged at bound " << bound;
+        // 2^63 + 1 rejects almost half its draws, so the rejection loop
+        // itself is compared, not only the first-draw path.
+        if (bound == (1ULL << 63) + 1) {
+            EXPECT_GT(rejections, kDraws / 3);
+        }
+    }
+}
+
 TEST(Xoshiro256, NextBoolMatchesProbability) {
     Xoshiro256 rng(23);
     int hits = 0;
