@@ -150,7 +150,7 @@ void QuickChannelSim::step() {
     for (std::size_t j = 0; j < config_.hosts; ++j) {
         if (winner_[j] == kNone) continue;
         const std::size_t src = winner_[j];
-        target_priority_[j] = (src + 1) % config_.hosts;
+        target_priority_[j] = src + 1 == config_.hosts ? 0 : src + 1;
         Host& host = hosts_[src];
         if (host.sending_control) {
             // Fire-and-forget ack: delivered unless a fault eats it.

@@ -114,7 +114,7 @@ private:
     util::BitVec free_inputs_;         // inputs still competing
     util::BitVec cand_;                // current column ∩ free_inputs_
     util::BitVec masked_row_;          // precalc path: row & ~busy_outputs
-    std::vector<std::size_t> nrq_;     // remaining choices per free input
+    std::vector<std::uint32_t> nrq_;   // remaining choices per free input
     // schedule_with_precalc() stage-1 scratch.
     util::BitVec busy_inputs_;         // inputs that won a precalc claim
     util::BitVec busy_outputs_;        // outputs a precalc claim took

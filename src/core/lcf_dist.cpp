@@ -23,8 +23,8 @@ void LcfDistScheduler::schedule(const sched::RequestMatrix& requests,
     ngt_.resize(n_out);
     // A switch that shrank since the last cycle keeps walking its RR
     // position inside the current geometry.
-    rr_input_ %= n_in;
-    rr_output_ %= n_out;
+    rr_input_ = sched::wrap(rr_input_, n_in);
+    rr_output_ = sched::wrap(rr_output_, n_out);
     if (options_.round_robin && requests.get(rr_input_, rr_output_)) {
         // The single round-robin position is granted before regular LCF
         // iterations take place (§5).
@@ -35,15 +35,18 @@ void LcfDistScheduler::schedule(const sched::RequestMatrix& requests,
     // NRQ, the rotating chain starting at (cycle_ + j) breaking ties, and
     // records NGT, the number of requests it saw. Accept: each initiator
     // accepts the grant with the lowest NGT, the chain starting at
-    // (cycle_ + i) breaking ties.
+    // (cycle_ + i) breaking ties. One division per side and slot, then
+    // wrap() per pick.
+    const std::size_t in0 = cycle_ % n_in;
+    const std::size_t out0 = cycle_ % n_out;
     const auto grant = [&](std::size_t j, const util::BitVec& cand) {
         ngt_[j] = static_cast<std::uint32_t>(cand.count());
-        return sched::min_rotated(cand, (cycle_ + j) % n_in,
+        return sched::min_rotated(cand, sched::wrap(in0 + j, n_in),
                                   [&](std::size_t i) { return nrq_[i]; });
     };
     const auto accept = [&](std::size_t i, const util::BitVec& offers,
                             std::size_t) {
-        return sched::min_rotated(offers, (cycle_ + i) % n_out,
+        return sched::min_rotated(offers, sched::wrap(out0 + i, n_out),
                                   [&](std::size_t j) { return ngt_[j]; });
     };
     bool granted = true;
@@ -59,8 +62,8 @@ void LcfDistScheduler::schedule(const sched::RequestMatrix& requests,
 
     // Advance per-cycle round-robin state: the RR position walks all n²
     // matrix positions; the tie-break chains rotate by one.
-    rr_input_ = (rr_input_ + 1) % n_in;
-    if (rr_input_ == 0) rr_output_ = (rr_output_ + 1) % n_out;
+    rr_input_ = sched::wrap(rr_input_ + 1, n_in);
+    if (rr_input_ == 0) rr_output_ = sched::wrap(rr_output_ + 1, n_out);
     ++cycle_;
 }
 

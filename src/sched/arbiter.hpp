@@ -6,7 +6,7 @@
 // pick over a candidate or grant set is a word-parallel BitVec query
 // ("first set bit at or after the pointer" via find_first_from) or a
 // min_rotated() over the set bits, instead of a per-bit
-// `(ptr + k) % n` probe loop.
+// `(ptr + k) % n` probe loop; pointers move with wrap(), not `%`.
 
 #include <algorithm>
 #include <cassert>
@@ -27,6 +27,14 @@ namespace lcf::sched {
 constexpr std::size_t rotated_rank(std::size_t idx, std::size_t start,
                                    std::size_t n) noexcept {
     return idx >= start ? idx - start : idx + n - start;
+}
+
+/// x mod n for the sums rotating pointers form, a pointer below n plus
+/// a step of at most n: a compare and a subtraction, dividing only when
+/// x >= 2n (a pointer left over from a larger geometry, or a step as
+/// long as a wider side of a rectangular switch).
+constexpr std::size_t wrap(std::size_t x, std::size_t n) noexcept {
+    return x < n ? x : x - n < n ? x - n : x % n;
 }
 
 /// The set bit of the non-empty `set` minimising (key(bit),

@@ -23,7 +23,7 @@ void FifoRrScheduler::schedule(const RequestMatrix& requests, Matching& out) {
         if (cand.none()) continue;
         const std::size_t i = cand.find_first_from(grant_ptr_[j]);
         arbiter_.match(i, j);
-        grant_ptr_[j] = (i + 1) % n_in;
+        grant_ptr_[j] = wrap(i + 1, n_in);
     }
 }
 

@@ -27,6 +27,10 @@ void IlqfScheduler::schedule(const RequestMatrix& requests, Matching& out) {
     const std::size_t n_in = requests.inputs();
     const std::size_t n_out = requests.outputs();
     arbiter_.begin(requests, out);
+    // The chains start at cycle_ + j and cycle_ + i: one division per
+    // side and slot, then wrap() per pick.
+    const std::size_t in0 = n_in == 0 ? 0 : cycle_ % n_in;
+    const std::size_t out0 = n_out == 0 ? 0 : cycle_ % n_out;
     // Grant to the requester with the longest VOQ, accept the grant from
     // the longest VOQ (drain the worst backlog first); chains rotating
     // with the cycle break ties. ~weight turns "longest" into the
@@ -34,11 +38,11 @@ void IlqfScheduler::schedule(const RequestMatrix& requests, Matching& out) {
     last_iterations_ = arbiter_.iterate(
         iterations_,
         [&](std::size_t j, const util::BitVec& cand) {
-            return min_rotated(cand, (cycle_ + j) % n_in,
+            return min_rotated(cand, wrap(in0 + j, n_in),
                                [&](std::size_t i) { return ~weight(i, j); });
         },
         [&](std::size_t i, const util::BitVec& offers, std::size_t) {
-            return min_rotated(offers, (cycle_ + i) % n_out,
+            return min_rotated(offers, wrap(out0 + i, n_out),
                                [&](std::size_t j) { return ~weight(i, j); });
         });
     ++cycle_;

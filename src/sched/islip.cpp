@@ -26,9 +26,9 @@ void IslipScheduler::schedule(const RequestMatrix& requests, Matching& out) {
         [&](std::size_t i, const util::BitVec& offers, std::size_t iter) {
             const std::size_t j = offers.find_first_from(accept_ptr_[i]);
             if (iter == 0) {
-                const std::size_t next = (i + 1) % n_in;
+                const std::size_t next = wrap(i + 1, n_in);
                 grant_ptr_[j] = next;
-                accept_ptr_[i] = (j + 1) % n_out;
+                accept_ptr_[i] = wrap(j + 1, n_out);
                 if (rule_ == GrantPointerRule::kUnconditional) {
                     for (const std::size_t g : offers.set_bits()) {
                         grant_ptr_[g] = next;  // refused grants move too

@@ -1,7 +1,5 @@
 #include "sched/matching.hpp"
 
-#include <cassert>
-
 #include "sched/request_matrix.hpp"
 
 namespace lcf::sched {
@@ -19,14 +17,6 @@ void Matching::reset(std::size_t inputs, std::size_t outputs) {
     } else {
         matched_outputs_ = util::BitVec(outputs);
     }
-}
-
-void Matching::match(std::size_t input, std::size_t output) noexcept {
-    assert(in_to_out_[input] == kUnmatched);
-    assert(out_to_in_[output] == kUnmatched);
-    in_to_out_[input] = static_cast<std::int32_t>(output);
-    out_to_in_[output] = static_cast<std::int32_t>(input);
-    matched_outputs_.set(output);
 }
 
 void Matching::unmatch_input(std::size_t input) noexcept {

@@ -3,6 +3,7 @@
 // inputs to outputs. Both directions of the map are maintained so the
 // crossbar and the metrics code can query either side in O(1).
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -33,7 +34,13 @@ public:
     void reset(std::size_t inputs, std::size_t outputs);
 
     /// Connect input i to output j (both must currently be unmatched).
-    void match(std::size_t input, std::size_t output) noexcept;
+    void match(std::size_t input, std::size_t output) noexcept {
+        assert(in_to_out_[input] == kUnmatched);
+        assert(out_to_in_[output] == kUnmatched);
+        in_to_out_[input] = static_cast<std::int32_t>(output);
+        out_to_in_[output] = static_cast<std::int32_t>(input);
+        matched_outputs_.set(output);
+    }
     /// Remove the pair containing `input` if present.
     void unmatch_input(std::size_t input) noexcept;
 

@@ -164,6 +164,11 @@ void SwitchSim::step_arrivals() {
         bool accepted = false;
         switch (config_.mode) {
             case SwitchMode::kVoq:
+                // This slot's PQ -> VOQ pass would move a packet that
+                // finds its PQ empty straight on when its VOQ has room.
+                accepted = (input_queues_[i].empty() && to_voq(i, p)) ||
+                           input_queues_[i].push(p);
+                break;
             case SwitchMode::kFifo:
                 accepted = input_queues_[i].push(p);
                 break;
@@ -175,21 +180,22 @@ void SwitchSim::step_arrivals() {
     }
 }
 
+bool SwitchSim::to_voq(std::size_t input, const Packet& p) {
+    if (!voqs_[input].push(p)) return false;
+    requests_.set(input, p.destination);
+    if (track_queue_lengths_) {
+        ++queue_lengths_[input * config_.ports + p.destination];
+    }
+    return true;
+}
+
 void SwitchSim::step_voq_mode() {
     // PQ -> VOQ: move packets as long as the head's VOQ has space
     // ("buffered in the packet queues and next, if space permits, in the
     // virtual output queues").
     for (std::size_t i = 0; i < config_.ports; ++i) {
         auto& pq = input_queues_[i];
-        while (!pq.empty() &&
-               !voqs_[i].full(pq.front().destination)) {
-            const std::size_t dst = pq.front().destination;
-            voqs_[i].push(pq.pop());
-            requests_.set(i, dst);
-            if (track_queue_lengths_) {
-                ++queue_lengths_[i * config_.ports + dst];
-            }
-        }
+        while (!pq.empty() && to_voq(i, pq.front())) pq.pop();
     }
 
     const bool stall = stalled();

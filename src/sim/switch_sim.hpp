@@ -153,6 +153,9 @@ private:
     void step_voq_mode();
     void step_fifo_mode();
     void deliver(const Packet& p);
+    /// Push `p` into `input`'s VOQ and, when it fits, set its request
+    /// bit and iLQF length; false (nothing changed) when the VOQ is full.
+    bool to_voq(std::size_t input, const Packet& p);
     /// Route matching_ through the Clos fabric (if configured),
     /// unmatching any connection the fabric cannot carry.
     void apply_fabric();

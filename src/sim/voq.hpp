@@ -3,6 +3,7 @@
 // output. All of a bank's queues share one node pool, so its memory
 // follows the packets it buffers, not outputs × capacity.
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -48,10 +49,41 @@ public:
     /// Enqueue into the destination's queue; false (drop) when full.
     /// May allocate (the pool grows to the bank's peak occupancy), hence
     /// not noexcept.
-    bool push(const Packet& p);
+    bool push(const Packet& p) {
+        Queue& q = queues_[p.destination];
+        if (q.size == capacity_) return false;
+        Index n = free_;
+        if (n != kNil) {
+            free_ = nodes_[n].next;
+            nodes_[n] = Node{p, kNil};
+        } else {
+            n = static_cast<Index>(nodes_.size());
+            nodes_.push_back(Node{p, kNil});
+        }
+        if (q.size == 0) {
+            q.head = n;
+        } else {
+            nodes_[q.tail].next = n;
+        }
+        q.tail = n;
+        ++q.size;
+        ++buffered_;
+        return true;
+    }
     /// Dequeue the head packet destined for `output` (precondition: the
     /// queue is non-empty).
-    Packet pop(std::size_t output) noexcept;
+    Packet pop(std::size_t output) noexcept {
+        Queue& q = queues_[output];
+        assert(q.size > 0);
+        const Index n = q.head;
+        Node& node = nodes_[n];
+        q.head = node.next;
+        node.next = free_;
+        free_ = n;
+        --buffered_;
+        --q.size;
+        return node.packet;
+    }
 
     /// Total packets buffered across all queues.
     [[nodiscard]] std::size_t total_buffered() const noexcept {

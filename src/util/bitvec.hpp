@@ -69,12 +69,19 @@ public:
     /// Clear bit `i` (precondition: i < size()).
     void reset(std::size_t i) noexcept { set(i, false); }
     /// Clear all bits.
-    void clear() noexcept;
+    void clear() noexcept {
+        for (auto& w : words_) w = 0;
+    }
     /// Set all bits in [0, size()).
-    void fill() noexcept;
+    void fill() noexcept {
+        for (auto& w : words_) w = ~std::uint64_t{0};
+        trim();
+    }
 
     /// Number of set bits.
-    [[nodiscard]] std::size_t count() const noexcept;
+    [[nodiscard]] std::size_t count() const noexcept {
+        return and_count(*this);  // w & w = w
+    }
     /// True when no bit is set.
     [[nodiscard]] bool none() const noexcept {
         for (const auto w : words_) {
@@ -86,35 +93,90 @@ public:
     [[nodiscard]] bool any() const noexcept { return !none(); }
 
     /// Index of the lowest set bit, or npos when none() holds.
-    [[nodiscard]] std::size_t find_first() const noexcept;
+    [[nodiscard]] std::size_t find_first() const noexcept {
+        return first_set_from(0, ~std::uint64_t{0});
+    }
     /// Index of the lowest set bit strictly greater than `pos`, or npos.
     /// Safe for any `pos` (including npos): out-of-range positions have
     /// no successor.
-    [[nodiscard]] std::size_t find_next(std::size_t pos) const noexcept;
+    [[nodiscard]] std::size_t find_next(std::size_t pos) const noexcept {
+        // Guard before the +1: pos >= size() (including pos == npos) has
+        // no successor, and npos + 1 would otherwise wrap to 0 and rescan.
+        if (pos >= size_ || pos + 1 >= size_) return npos;
+        return first_set_from((pos + 1) / kWordBits,
+                              ~std::uint64_t{0} << ((pos + 1) % kWordBits));
+    }
     /// Index of the first set bit at or after `pos`, wrapping around to
     /// [0, pos) when the tail holds none — the rotating-priority scan
     /// every round-robin tie-break in the schedulers needs, without any
     /// per-element `(k + offset) % n` arithmetic. Returns npos when the
     /// vector is empty or no bit is set. Precondition: pos < size() (an
     /// out-of-range pos is treated as 0 in release builds).
-    [[nodiscard]] std::size_t find_first_from(std::size_t pos) const noexcept;
+    [[nodiscard]] std::size_t find_first_from(std::size_t pos) const noexcept {
+        if (size_ == 0) return npos;
+        LCF_BITVEC_ASSERT(pos < size_);
+        if (pos >= size_) pos = 0;
+        const std::size_t wi = pos / kWordBits;
+        const std::uint64_t below = (std::uint64_t{1} << (pos % kWordBits)) - 1;
+        // Tail segment [pos, size()), then the wrapped segment [0, pos).
+        const std::size_t tail = first_set_from(wi, ~below);
+        if (tail != npos) return tail;
+        for (std::size_t k = 0; k <= wi; ++k) {
+            const std::uint64_t w = k == wi ? words_[k] & below : words_[k];
+            if (w != 0) return lowest(k, w);
+        }
+        return npos;
+    }
 
     /// Popcount of (*this & other) without materializing the
     /// intersection; both operands must have equal size.
-    [[nodiscard]] std::size_t and_count(const BitVec& other) const noexcept;
+    [[nodiscard]] std::size_t and_count(const BitVec& other) const noexcept {
+        LCF_BITVEC_ASSERT(size_ == other.size_);
+        // Branch-free SWAR popcount: for the baseline x86-64 target (no
+        // -mpopcnt) g++ lowers std::popcount to a libgcc call per word.
+        std::size_t total = 0;
+        for (std::size_t i = 0; i < words_.size(); ++i) {
+            std::uint64_t w = words_[i] & other.words_[i];
+            w -= (w >> 1) & 0x5555555555555555ULL;
+            w = (w & 0x3333333333333333ULL) + ((w >> 2) & 0x3333333333333333ULL);
+            w = (w + (w >> 4)) & 0x0F0F0F0F0F0F0F0FULL;
+            total += static_cast<std::size_t>((w * 0x0101010101010101ULL) >> 56);
+        }
+        return total;
+    }
 
     /// In-place set intersection; both operands must have equal size.
-    BitVec& operator&=(const BitVec& other) noexcept;
+    BitVec& operator&=(const BitVec& other) noexcept {
+        assign_and(*this, other);
+        return *this;
+    }
     /// In-place set union; both operands must have equal size.
-    BitVec& operator|=(const BitVec& other) noexcept;
+    BitVec& operator|=(const BitVec& other) noexcept {
+        LCF_BITVEC_ASSERT(size_ == other.size_);
+        for (std::size_t i = 0; i < words_.size(); ++i) words_[i] |= other.words_[i];
+        return *this;
+    }
     /// In-place set subtraction (this &= ~other); equal sizes required.
-    BitVec& subtract(const BitVec& other) noexcept;
+    BitVec& subtract(const BitVec& other) noexcept {
+        assign_subtract(*this, other);
+        return *this;
+    }
 
     /// Masked assign without a temporary: *this = src & mask. All three
     /// vectors must have equal size (this may alias src or mask).
-    void assign_and(const BitVec& src, const BitVec& mask) noexcept;
+    void assign_and(const BitVec& src, const BitVec& mask) noexcept {
+        LCF_BITVEC_ASSERT(size_ == src.size_ && size_ == mask.size_);
+        for (std::size_t i = 0; i < words_.size(); ++i) {
+            words_[i] = src.words_[i] & mask.words_[i];
+        }
+    }
     /// Masked assign without a temporary: *this = src & ~mask.
-    void assign_subtract(const BitVec& src, const BitVec& mask) noexcept;
+    void assign_subtract(const BitVec& src, const BitVec& mask) noexcept {
+        LCF_BITVEC_ASSERT(size_ == src.size_ && size_ == mask.size_);
+        for (std::size_t i = 0; i < words_.size(); ++i) {
+            words_[i] = src.words_[i] & ~mask.words_[i];
+        }
+    }
 
     /// Number of 64-bit storage words.
     [[nodiscard]] std::size_t word_count() const noexcept {
@@ -127,7 +189,11 @@ public:
     }
     /// Overwrite storage word `wi`; bits beyond size() are masked off so
     /// the class invariant holds. Lets generators fill 64 bits per call.
-    void set_word(std::size_t wi, std::uint64_t bits) noexcept;
+    void set_word(std::size_t wi, std::uint64_t bits) noexcept {
+        LCF_BITVEC_ASSERT(wi < words_.size());
+        words_[wi] = bits;
+        if (wi + 1 == words_.size()) trim();
+    }
 
     /// Word-level set-bit iterator: visits the indices of set bits in
     /// ascending order, consuming one word at a time with countr_zero
@@ -206,7 +272,25 @@ public:
     [[nodiscard]] std::string to_string() const;
 
 private:
-    void trim() noexcept;  // re-establish the bits-beyond-size()-are-zero invariant
+    // Re-establish the bits-beyond-size()-are-zero invariant.
+    void trim() noexcept {
+        const std::size_t tail = size_ % kWordBits;
+        if (tail != 0 && !words_.empty()) {
+            words_.back() &= (std::uint64_t{1} << tail) - 1;
+        }
+    }
+    static std::size_t lowest(std::size_t wi, std::uint64_t w) noexcept {
+        return wi * kWordBits + static_cast<std::size_t>(std::countr_zero(w));
+    }
+    // Lowest set bit of word wi masked by `mask`, or of a later word.
+    [[nodiscard]] std::size_t first_set_from(std::size_t wi,
+                                             std::uint64_t mask) const noexcept {
+        for (; wi < words_.size(); ++wi, mask = ~std::uint64_t{0}) {
+            const std::uint64_t w = words_[wi] & mask;
+            if (w != 0) return lowest(wi, w);
+        }
+        return npos;
+    }
 
     std::size_t size_ = 0;
     std::vector<std::uint64_t> words_;

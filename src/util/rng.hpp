@@ -5,6 +5,7 @@
 // are reproducible; xoshiro256** is used for speed (the simulator draws one
 // to two variates per port per slot) and SplitMix64 for seed expansion.
 
+#include <cassert>
 #include <cstdint>
 #include <limits>
 
@@ -63,8 +64,21 @@ public:
     }
 
     /// Uniform integer in [0, bound) without modulo bias (Lemire's method
-    /// with rejection). Precondition: bound > 0.
-    std::uint64_t next_below(std::uint64_t bound) noexcept;
+    /// with rejection). Precondition: bound > 0 (`% bound` divides by
+    /// zero otherwise). The rejection threshold (0 - bound) % bound is
+    /// below bound, so it is computed only when the low word is: same
+    /// values and draws as testing every word against it.
+    std::uint64_t next_below(std::uint64_t bound) noexcept {
+        assert(bound > 0 && "Xoshiro256::next_below requires bound > 0");
+        __uint128_t m = static_cast<__uint128_t>((*this)()) * bound;
+        if (static_cast<std::uint64_t>(m) < bound) {
+            const std::uint64_t threshold = (0 - bound) % bound;
+            while (static_cast<std::uint64_t>(m) < threshold) {
+                m = static_cast<__uint128_t>((*this)()) * bound;
+            }
+        }
+        return static_cast<std::uint64_t>(m >> 64);
+    }
 
     /// Bernoulli trial with success probability p (clamped to [0,1]).
     constexpr bool next_bool(double p) noexcept { return next_double() < p; }
