@@ -5,21 +5,27 @@
 
 namespace lcf::util {
 
-Histogram::Histogram(std::size_t capacity) : buckets_(capacity, 0) {}
+void Histogram::grow(std::size_t size) {
+    std::size_t n = std::max<std::size_t>(buckets_.size(), 64);
+    while (n < size) n *= 2;
+    buckets_.resize(std::min(n, capacity_), 0);
+}
 
-void Histogram::add(std::uint64_t value) noexcept {
-    if (value < buckets_.size()) {
-        ++buckets_[value];
-    } else {
+void Histogram::add(std::uint64_t value) {
+    if (value >= capacity_) {
         ++overflow_;
+    } else {
+        if (value >= buckets_.size()) grow(value + 1);
+        ++buckets_[value];
     }
     ++count_;
     total_ += static_cast<double>(value);
 }
 
 void Histogram::merge(const Histogram& other) {
-    assert(buckets_.size() == other.buckets_.size());
-    for (std::size_t i = 0; i < buckets_.size(); ++i) {
+    assert(capacity_ == other.capacity_);
+    if (other.buckets_.size() > buckets_.size()) grow(other.buckets_.size());
+    for (std::size_t i = 0; i < other.buckets_.size(); ++i) {
         buckets_[i] += other.buckets_[i];
     }
     count_ += other.count_;
@@ -44,7 +50,7 @@ std::uint64_t Histogram::percentile(double q) const noexcept {
         seen += buckets_[v];
         if (seen >= target) return v;
     }
-    return buckets_.size();
+    return capacity_;
 }
 
 }  // namespace lcf::util

@@ -12,7 +12,9 @@
 
 #include <cmath>
 #include <functional>
+#include <iterator>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -23,6 +25,7 @@
 #include "core/factory.hpp"
 #include "sim/switch_sim.hpp"
 #include "traffic/bernoulli.hpp"
+#include "util/rng.hpp"
 
 namespace lcf {
 namespace {
@@ -364,6 +367,56 @@ TEST(SeqTracker, SkipAccountsDestroyedPackets) {
     EXPECT_TRUE(t.deliver(0, 1));
     EXPECT_FALSE(t.deliver(0, 0));  // late copy of the destroyed packet
     EXPECT_EQ(t.pending(), 0u);
+}
+
+TEST(SeqTracker, FarAheadNumbersWaitOutsideTheWindow) {
+    SeqTracker t(2);
+    EXPECT_TRUE(t.deliver(0, 65));   // last number the window holds
+    EXPECT_TRUE(t.deliver(0, 66));   // one past it: overflow list
+    EXPECT_TRUE(t.deliver(1, 66));   // same number, other flow
+    EXPECT_FALSE(t.deliver(0, 66));
+    EXPECT_EQ(t.pending(), 3u);
+    for (std::uint64_t s = 0; s < 65; ++s) t.skip(0, s);
+    EXPECT_EQ(t.pending(), 1u);      // flow 0's base swallowed 65 and 66
+    EXPECT_FALSE(t.deliver(0, 66));
+    EXPECT_TRUE(t.deliver(0, 67));
+    EXPECT_FALSE(t.deliver(1, 66));
+}
+
+TEST(SeqTracker, MatchesASetModelOnRandomTraffic) {
+    // Model: per flow, the set of numbers seen; an answer is "not seen
+    // before", pending() the seen numbers above the lowest unseen one.
+    // Offsets reach far past the 64-number window, and a tenth of the
+    // numbers are late copies below the base.
+    constexpr std::size_t kFlows = 5;
+    SeqTracker t(kFlows);
+    std::vector<std::set<std::uint64_t>> seen(kFlows);
+    std::vector<std::uint64_t> base(kFlows, 0);
+    util::Xoshiro256 rng(77);
+    for (int op = 0; op < 200000; ++op) {
+        const std::size_t flow = rng.next_below(kFlows);
+        const std::uint64_t r = rng.next_below(100);
+        const std::uint64_t reach = r < 60 ? 8 : r < 85 ? 70 : 300;
+        const std::uint64_t seq = r % 10 == 0
+                                      ? rng.next_below(base[flow] + 1)
+                                      : base[flow] + rng.next_below(reach);
+        const bool fresh = seen[flow].insert(seq).second;
+        while (seen[flow].count(base[flow]) != 0) ++base[flow];
+        if (rng.next_below(4) == 0) {
+            t.skip(flow, seq);
+        } else {
+            ASSERT_EQ(t.deliver(flow, seq), fresh)
+                << "op " << op << " flow " << flow << " seq " << seq;
+        }
+        if (op % 1000 == 0) {
+            std::size_t held = 0;
+            for (std::size_t f = 0; f < kFlows; ++f) {
+                held += static_cast<std::size_t>(std::distance(
+                    seen[f].upper_bound(base[f]), seen[f].end()));
+            }
+            ASSERT_EQ(t.pending(), held) << "op " << op;
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
