@@ -9,6 +9,9 @@
 // uniform and bursty traffic, offered loads 0.7 / 0.9 / 1.0, plus
 // ilqf/uniform/{16,256}/90: iLQF is the one scheduler that weighs VOQ
 // lengths, so only its rows run SwitchSim's queue-length bookkeeping.
+// Plus {wfront,pim}/uniform/16/{20,90}: the wavefront's sweep at low
+// load and PIM's random draws, where a 16-port slot pays per-call and
+// per-division overhead rather than bit work.
 // Benchmark names encode the point as
 //   BM_SimThroughput/<scheduler>/<traffic>/<n>/<load%>
 // and each run reports items/sec == simulated slots/sec.
@@ -130,6 +133,19 @@ void register_grid() {
                 run_sim_point(state, "ilqf", "uniform", n, 0.9);
             })
             ->Unit(benchmark::kMillisecond);
+    }
+    for (const std::string sched : {"wfront", "pim"}) {
+        for (const int pct : {20, 90}) {
+            benchmark::RegisterBenchmark(
+                ("BM_SimThroughput/" + sched + "/uniform/16/" +
+                 std::to_string(pct))
+                    .c_str(),
+                [sched, pct](benchmark::State& state) {
+                    run_sim_point(state, sched, "uniform", 16,
+                                  static_cast<double>(pct) / 100.0);
+                })
+                ->Unit(benchmark::kMillisecond);
+        }
     }
     for (const std::size_t hosts : {std::size_t{16}, std::size_t{256}}) {
         benchmark::RegisterBenchmark(
