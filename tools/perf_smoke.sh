@@ -51,10 +51,13 @@ run_gate "$BUILD_DIR/bench/bench_sched_speed" \
 # gather made n=256 2.7x slower.
 # BM_QuickChannel/256 is the gate against quick-channel arbitration that
 # is quadratic in hosts: a hosts^2 scan there costs 65k iterations per
-# slot.
+# slot. The {wfront,pim}/uniform/16/{20,90} rows (the 90s matched by the
+# first alternative) gate the 16-port slot's fixed costs: the wavefront
+# sweeping rows with no request at load 0.2, and a division per random
+# draw in PIM.
 run_gate "$BUILD_DIR/bench/bench_sim_throughput" \
     "$REPO_ROOT/BENCH_sim_throughput.json" \
-    '/(16|64)/90$|/uniform/256/90$|^BM_(Quick|Bulk)Channel/' 0.05
+    '/(16|64)/90$|/(wfront|pim)/uniform/16/20$|/uniform/256/90$|^BM_(Quick|Bulk)Channel/' 0.05
 
 # Memory: VOQ storage must follow buffered packets, not ports². The n=256
 # VOQ workload may peak at most 10 MB above the 16-port sweep (binary,
