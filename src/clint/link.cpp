@@ -6,7 +6,7 @@ namespace lcf::clint {
 
 ErrorLink::ErrorLink(double bit_error_rate, std::uint64_t seed)
     : ber_(bit_error_rate), rng_(seed) {
-    if (bit_error_rate < 0.0 || bit_error_rate > 1.0) {
+    if (!(bit_error_rate >= 0.0 && bit_error_rate <= 1.0)) {
         throw std::invalid_argument("bit_error_rate must be in [0, 1]");
     }
 }

@@ -26,9 +26,6 @@ ParanoidOptions ParanoidChecker::options_for(std::string_view scheduler_name,
 void ParanoidChecker::reset(std::size_t inputs, std::size_t outputs) {
     inputs_ = inputs;
     outputs_ = outputs;
-    fairness_window_ = options_.fairness_window
-                           ? options_.fairness_window
-                           : static_cast<std::uint64_t>(inputs) * outputs;
     ages_.reset(inputs, outputs);
     cycles_checked_ = 0;
     violation_count_ = 0;
@@ -137,14 +134,15 @@ std::size_t ParanoidChecker::check_cycle(const sched::RequestMatrix& requests,
 
     // Invariant 4: rotating-diagonal fairness. The age of a position is
     // its continuously-requested-and-denied streak; the anchor visits
-    // every position once per fairness window, so the streak may never
-    // exceed it.
+    // every position once per n_in * n_out cycles, so the streak may
+    // never exceed that window.
     const std::uint64_t worst = ages_.observe(requests, matching);
-    if (options_.check_diagonal_fairness && worst > fairness_window_) {
+    const std::uint64_t window = static_cast<std::uint64_t>(inputs_) * outputs_;
+    if (options_.check_diagonal_fairness && worst > window) {
         violation("diagonal fairness violated: a continuously requesting "
                   "position has been denied for " +
                   std::to_string(worst) + " cycles (window " +
-                  std::to_string(fairness_window_) + ")");
+                  std::to_string(window) + ")");
     }
 
     ++cycles_checked_;

@@ -10,7 +10,8 @@
 //   3. the request matrix's maintained per-row counts (NRQ) and column
 //      counts (NGT) equal counts recomputed bit by bit from scratch,
 //   4. for the rotating-diagonal LCF variants, a continuously asserted
-//      request is granted within n² cycles (§3's fairness guarantee),
+//      request is granted within n_in * n_out cycles (n² for a square
+//      switch: §3's fairness guarantee),
 //   5. iteration-limited matchers never exceed their configured budget.
 //
 // The checker deliberately re-derives everything from first principles
@@ -35,11 +36,10 @@ struct ParanoidOptions {
     /// fast and loud). When false, violations are recorded and counted
     /// instead — the mode the long-running sweeps use.
     bool throw_on_violation = true;
-    /// Enforce invariant 4. Only meaningful for schedulers that promise
-    /// the rotating-diagonal guarantee.
+    /// Enforce invariant 4 over a window of n_in * n_out cycles. Only
+    /// meaningful for schedulers that promise the rotating-diagonal
+    /// guarantee.
     bool check_diagonal_fairness = false;
-    /// Cycle budget for invariant 4; 0 derives n_in * n_out at reset().
-    std::uint64_t fairness_window = 0;
     /// Budget for invariant 5; 0 disables the check.
     std::size_t iteration_budget = 0;
 };
@@ -98,7 +98,6 @@ private:
     ParanoidOptions options_;
     std::size_t inputs_ = 0;
     std::size_t outputs_ = 0;
-    std::uint64_t fairness_window_ = 0;
     StarvationAges ages_;
     std::uint64_t cycles_checked_ = 0;
     std::uint64_t violation_count_ = 0;

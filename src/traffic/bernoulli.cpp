@@ -1,50 +1,14 @@
 #include "traffic/bernoulli.hpp"
 
-#include <algorithm>
-#include <stdexcept>
-
 namespace lcf::traffic {
-
-BernoulliUniform::BernoulliUniform(double load) : load_(load) {
-    if (load < 0.0 || load > 1.0) {
-        throw std::invalid_argument("load must be in [0, 1]");
-    }
-}
 
 void BernoulliUniform::do_reset(std::size_t inputs, std::size_t outputs,
                                 std::uint64_t seed) {
-    if (inputs == 0 || outputs == 0) {
-        // arrival() draws destinations uniformly below `outputs`, which
-        // is undefined for an empty geometry.
-        throw std::invalid_argument(
-            "uniform traffic requires a non-empty switch geometry");
-    }
     outputs_ = outputs;
     rng_.clear();
     rng_.reserve(inputs);
     for (std::size_t i = 0; i < inputs; ++i) {
         rng_.emplace_back(util::derive_seed(seed, i));
-    }
-}
-
-std::int32_t BernoulliUniform::arrival(std::size_t input,
-                                       std::uint64_t /*slot*/) {
-    auto& rng = rng_[input];
-    if (!rng.next_bool(load_)) return kNoArrival;
-    return static_cast<std::int32_t>(rng.next_below(outputs_));
-}
-
-void BernoulliUniform::arrivals(std::uint64_t /*slot*/, std::int32_t* out) {
-    // Same draws in the same order as arrival(i, slot) for ascending i,
-    // with the virtual dispatch and member reloads hoisted out.
-    const double load = load_;
-    const std::size_t outputs = outputs_;
-    const std::size_t n = rng_.size();
-    for (std::size_t i = 0; i < n; ++i) {
-        auto& rng = rng_[i];
-        out[i] = rng.next_bool(load)
-                     ? static_cast<std::int32_t>(rng.next_below(outputs))
-                     : kNoArrival;
     }
 }
 

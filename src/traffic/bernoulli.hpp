@@ -14,12 +14,16 @@ namespace lcf::traffic {
 
 /// i.i.d. Bernoulli(load) arrivals, destination uniform over all outputs
 /// (self-traffic included; see DESIGN.md §6.4).
-class BernoulliUniform final : public TrafficGenerator {
+class BernoulliUniform final : public PerInputTraffic<BernoulliUniform> {
 public:
-    explicit BernoulliUniform(double load);
+    explicit BernoulliUniform(double load)
+        : load_(checked_probability(load, "load")) {}
 
-    std::int32_t arrival(std::size_t input, std::uint64_t slot) override;
-    void arrivals(std::uint64_t slot, std::int32_t* out) override;
+    std::int32_t arrival(std::size_t input, std::uint64_t /*slot*/) override {
+        auto& rng = rng_[input];
+        if (!rng.next_bool(load_)) return kNoArrival;
+        return static_cast<std::int32_t>(rng.next_below(outputs_));
+    }
     [[nodiscard]] double offered_load() const noexcept override { return load_; }
     [[nodiscard]] std::string_view name() const noexcept override {
         return "uniform";

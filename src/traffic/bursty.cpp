@@ -5,11 +5,8 @@
 namespace lcf::traffic {
 
 BurstyTraffic::BurstyTraffic(double load, double mean_burst)
-    : load_(load), mean_burst_(mean_burst) {
-    if (load < 0.0 || load > 1.0) {
-        throw std::invalid_argument("load must be in [0, 1]");
-    }
-    if (mean_burst < 1.0) {
+    : load_(checked_probability(load, "load")), mean_burst_(mean_burst) {
+    if (!(mean_burst >= 1.0)) {
         throw std::invalid_argument("mean_burst must be >= 1");
     }
     p_end_burst_ = 1.0 / mean_burst_;
@@ -29,47 +26,10 @@ BurstyTraffic::BurstyTraffic(double load, double mean_burst)
 
 void BurstyTraffic::do_reset(std::size_t inputs, std::size_t outputs,
                              std::uint64_t seed) {
-    if (inputs == 0 || outputs == 0) {
-        throw std::invalid_argument(
-            "bursty traffic requires a non-empty switch geometry");
-    }
     outputs_ = outputs;
     ports_.assign(inputs, PortState{});
     for (std::size_t i = 0; i < inputs; ++i) {
         ports_[i].rng = util::Xoshiro256(util::derive_seed(seed, i));
-    }
-}
-
-std::int32_t BurstyTraffic::arrival(std::size_t input, std::uint64_t /*slot*/) {
-    PortState& p = ports_[input];
-    if (!p.on) {
-        if (!p.rng.next_bool(p_start_burst_)) return kNoArrival;
-        p.on = true;
-        p.burst_dst = static_cast<std::int32_t>(p.rng.next_below(outputs_));
-    }
-    const std::int32_t dst = p.burst_dst;
-    if (p.rng.next_bool(p_end_burst_)) p.on = false;
-    return dst;
-}
-
-void BurstyTraffic::arrivals(std::uint64_t /*slot*/, std::int32_t* out) {
-    // Same per-port draws in the same order as arrival(i, slot).
-    const double p_start = p_start_burst_;
-    const double p_end = p_end_burst_;
-    const std::size_t outputs = outputs_;
-    const std::size_t n = ports_.size();
-    for (std::size_t i = 0; i < n; ++i) {
-        PortState& p = ports_[i];
-        if (!p.on) {
-            if (!p.rng.next_bool(p_start)) {
-                out[i] = kNoArrival;
-                continue;
-            }
-            p.on = true;
-            p.burst_dst = static_cast<std::int32_t>(p.rng.next_below(outputs));
-        }
-        out[i] = p.burst_dst;
-        if (p.rng.next_bool(p_end)) p.on = false;
     }
 }
 

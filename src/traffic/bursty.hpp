@@ -14,13 +14,22 @@
 namespace lcf::traffic {
 
 /// On/off bursty traffic with geometric burst lengths.
-class BurstyTraffic final : public TrafficGenerator {
+class BurstyTraffic final : public PerInputTraffic<BurstyTraffic> {
 public:
     /// `mean_burst` is the average ON period in packets (>= 1).
     BurstyTraffic(double load, double mean_burst = 16.0);
 
-    std::int32_t arrival(std::size_t input, std::uint64_t slot) override;
-    void arrivals(std::uint64_t slot, std::int32_t* out) override;
+    std::int32_t arrival(std::size_t input, std::uint64_t /*slot*/) override {
+        PortState& p = ports_[input];
+        if (!p.on) {
+            if (!p.rng.next_bool(p_start_burst_)) return kNoArrival;
+            p.on = true;
+            p.burst_dst = static_cast<std::int32_t>(p.rng.next_below(outputs_));
+        }
+        const std::int32_t dst = p.burst_dst;
+        if (p.rng.next_bool(p_end_burst_)) p.on = false;
+        return dst;
+    }
     [[nodiscard]] double offered_load() const noexcept override { return load_; }
     [[nodiscard]] std::string_view name() const noexcept override {
         return "bursty";

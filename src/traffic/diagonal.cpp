@@ -1,53 +1,14 @@
 #include "traffic/diagonal.hpp"
 
-#include <stdexcept>
-
 namespace lcf::traffic {
-
-DiagonalTraffic::DiagonalTraffic(double load) : load_(load) {
-    if (load < 0.0 || load > 1.0) {
-        throw std::invalid_argument("load must be in [0, 1]");
-    }
-}
 
 void DiagonalTraffic::do_reset(std::size_t inputs, std::size_t outputs,
                                std::uint64_t seed) {
-    if (inputs == 0 || outputs == 0) {
-        // arrival() maps destinations with `% outputs`.
-        throw std::invalid_argument(
-            "diagonal traffic requires a non-empty switch geometry");
-    }
     outputs_ = outputs;
     rng_.clear();
     rng_.reserve(inputs);
     for (std::size_t i = 0; i < inputs; ++i) {
         rng_.emplace_back(util::derive_seed(seed, i));
-    }
-}
-
-std::int32_t DiagonalTraffic::arrival(std::size_t input, std::uint64_t /*slot*/) {
-    auto& rng = rng_[input];
-    if (!rng.next_bool(load_)) return kNoArrival;
-    const std::size_t dst = rng.next_bool(2.0 / 3.0)
-                                ? input % outputs_
-                                : (input + 1) % outputs_;
-    return static_cast<std::int32_t>(dst);
-}
-
-void DiagonalTraffic::arrivals(std::uint64_t /*slot*/, std::int32_t* out) {
-    // Same per-port draws in the same order as arrival(i, slot).
-    const double load = load_;
-    const std::size_t outputs = outputs_;
-    const std::size_t n = rng_.size();
-    for (std::size_t i = 0; i < n; ++i) {
-        auto& rng = rng_[i];
-        if (!rng.next_bool(load)) {
-            out[i] = kNoArrival;
-            continue;
-        }
-        const std::size_t dst =
-            rng.next_bool(2.0 / 3.0) ? i % outputs : (i + 1) % outputs;
-        out[i] = static_cast<std::int32_t>(dst);
     }
 }
 

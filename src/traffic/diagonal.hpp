@@ -14,12 +14,19 @@
 namespace lcf::traffic {
 
 /// Two-destination diagonal pattern (2/3 to i, 1/3 to i+1).
-class DiagonalTraffic final : public TrafficGenerator {
+class DiagonalTraffic final : public PerInputTraffic<DiagonalTraffic> {
 public:
-    explicit DiagonalTraffic(double load);
+    explicit DiagonalTraffic(double load)
+        : load_(checked_probability(load, "load")) {}
 
-    std::int32_t arrival(std::size_t input, std::uint64_t slot) override;
-    void arrivals(std::uint64_t slot, std::int32_t* out) override;
+    std::int32_t arrival(std::size_t input, std::uint64_t /*slot*/) override {
+        auto& rng = rng_[input];
+        if (!rng.next_bool(load_)) return kNoArrival;
+        const std::size_t dst = rng.next_bool(2.0 / 3.0)
+                                    ? input % outputs_
+                                    : (input + 1) % outputs_;
+        return static_cast<std::int32_t>(dst);
+    }
     [[nodiscard]] double offered_load() const noexcept override { return load_; }
     [[nodiscard]] std::string_view name() const noexcept override {
         return "diagonal";

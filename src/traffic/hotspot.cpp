@@ -4,23 +4,8 @@
 
 namespace lcf::traffic {
 
-HotspotTraffic::HotspotTraffic(double load, double hot_fraction,
-                               std::size_t hot_port)
-    : load_(load), hot_fraction_(hot_fraction), hot_port_(hot_port) {
-    if (load < 0.0 || load > 1.0) {
-        throw std::invalid_argument("load must be in [0, 1]");
-    }
-    if (hot_fraction < 0.0 || hot_fraction > 1.0) {
-        throw std::invalid_argument("hot_fraction must be in [0, 1]");
-    }
-}
-
 void HotspotTraffic::do_reset(std::size_t inputs, std::size_t outputs,
                               std::uint64_t seed) {
-    if (inputs == 0 || outputs == 0) {
-        throw std::invalid_argument(
-            "hotspot traffic requires a non-empty switch geometry");
-    }
     if (hot_port_ >= outputs) {
         throw std::invalid_argument("hot_port out of range");
     }
@@ -29,34 +14,6 @@ void HotspotTraffic::do_reset(std::size_t inputs, std::size_t outputs,
     rng_.reserve(inputs);
     for (std::size_t i = 0; i < inputs; ++i) {
         rng_.emplace_back(util::derive_seed(seed, i));
-    }
-}
-
-std::int32_t HotspotTraffic::arrival(std::size_t input, std::uint64_t /*slot*/) {
-    auto& rng = rng_[input];
-    if (!rng.next_bool(load_)) return kNoArrival;
-    if (rng.next_bool(hot_fraction_)) {
-        return static_cast<std::int32_t>(hot_port_);
-    }
-    return static_cast<std::int32_t>(rng.next_below(outputs_));
-}
-
-void HotspotTraffic::arrivals(std::uint64_t /*slot*/, std::int32_t* out) {
-    // Same per-port draws in the same order as arrival(i, slot).
-    const double load = load_;
-    const double hot_fraction = hot_fraction_;
-    const auto hot_port = static_cast<std::int32_t>(hot_port_);
-    const std::size_t outputs = outputs_;
-    const std::size_t n = rng_.size();
-    for (std::size_t i = 0; i < n; ++i) {
-        auto& rng = rng_[i];
-        if (!rng.next_bool(load)) {
-            out[i] = kNoArrival;
-        } else if (rng.next_bool(hot_fraction)) {
-            out[i] = hot_port;
-        } else {
-            out[i] = static_cast<std::int32_t>(rng.next_below(outputs));
-        }
     }
 }
 

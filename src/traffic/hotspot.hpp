@@ -13,13 +13,22 @@ namespace lcf::traffic {
 
 /// Bernoulli arrivals; destination is the hotspot with probability
 /// `hot_fraction`, otherwise uniform over all outputs.
-class HotspotTraffic final : public TrafficGenerator {
+class HotspotTraffic final : public PerInputTraffic<HotspotTraffic> {
 public:
     HotspotTraffic(double load, double hot_fraction = 0.3,
-                   std::size_t hot_port = 0);
+                   std::size_t hot_port = 0)
+        : load_(checked_probability(load, "load")),
+          hot_fraction_(checked_probability(hot_fraction, "hot_fraction")),
+          hot_port_(hot_port) {}
 
-    std::int32_t arrival(std::size_t input, std::uint64_t slot) override;
-    void arrivals(std::uint64_t slot, std::int32_t* out) override;
+    std::int32_t arrival(std::size_t input, std::uint64_t /*slot*/) override {
+        auto& rng = rng_[input];
+        if (!rng.next_bool(load_)) return kNoArrival;
+        if (rng.next_bool(hot_fraction_)) {
+            return static_cast<std::int32_t>(hot_port_);
+        }
+        return static_cast<std::int32_t>(rng.next_below(outputs_));
+    }
     [[nodiscard]] double offered_load() const noexcept override { return load_; }
     [[nodiscard]] std::string_view name() const noexcept override {
         return "hotspot";

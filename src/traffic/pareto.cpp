@@ -7,14 +7,13 @@ namespace lcf::traffic {
 
 ParetoBurstTraffic::ParetoBurstTraffic(double load, double alpha,
                                        double max_burst)
-    : load_(load), alpha_(alpha), max_burst_(max_burst) {
-    if (load < 0.0 || load > 1.0) {
-        throw std::invalid_argument("load must be in [0, 1]");
-    }
-    if (alpha <= 1.0) {
+    : load_(checked_probability(load, "load")),
+      alpha_(alpha),
+      max_burst_(max_burst) {
+    if (!(alpha > 1.0)) {
         throw std::invalid_argument("alpha must exceed 1 for a finite mean");
     }
-    if (max_burst < 1.0) {
+    if (!(max_burst >= 1.0)) {
         throw std::invalid_argument("max_burst must be >= 1");
     }
     // Mean of bounded Pareto(alpha, L=1, H=max_burst):
@@ -44,50 +43,10 @@ double ParetoBurstTraffic::sample_burst(util::Xoshiro256& rng) const noexcept {
 
 void ParetoBurstTraffic::do_reset(std::size_t inputs, std::size_t outputs,
                                   std::uint64_t seed) {
-    if (inputs == 0 || outputs == 0) {
-        throw std::invalid_argument(
-            "pareto traffic requires a non-empty switch geometry");
-    }
     outputs_ = outputs;
     ports_.assign(inputs, PortState{});
     for (std::size_t i = 0; i < inputs; ++i) {
         ports_[i].rng = util::Xoshiro256(util::derive_seed(seed, i));
-    }
-}
-
-std::int32_t ParetoBurstTraffic::arrival(std::size_t input,
-                                         std::uint64_t /*slot*/) {
-    PortState& p = ports_[input];
-    if (p.remaining_burst == 0) {
-        if (!p.rng.next_bool(p_start_)) return kNoArrival;
-        p.remaining_burst = static_cast<std::uint64_t>(
-            std::llround(sample_burst(p.rng)));
-        if (p.remaining_burst == 0) p.remaining_burst = 1;
-        p.burst_dst = static_cast<std::int32_t>(p.rng.next_below(outputs_));
-    }
-    --p.remaining_burst;
-    return p.burst_dst;
-}
-
-void ParetoBurstTraffic::arrivals(std::uint64_t /*slot*/, std::int32_t* out) {
-    // Same per-port draws in the same order as arrival(i, slot).
-    const double p_start = p_start_;
-    const std::size_t outputs = outputs_;
-    const std::size_t n = ports_.size();
-    for (std::size_t i = 0; i < n; ++i) {
-        PortState& p = ports_[i];
-        if (p.remaining_burst == 0) {
-            if (!p.rng.next_bool(p_start)) {
-                out[i] = kNoArrival;
-                continue;
-            }
-            p.remaining_burst = static_cast<std::uint64_t>(
-                std::llround(sample_burst(p.rng)));
-            if (p.remaining_burst == 0) p.remaining_burst = 1;
-            p.burst_dst = static_cast<std::int32_t>(p.rng.next_below(outputs));
-        }
-        --p.remaining_burst;
-        out[i] = p.burst_dst;
     }
 }
 

@@ -7,6 +7,7 @@
 
 #include "traffic/traffic.hpp"
 
+#include <cmath>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -16,15 +17,25 @@ namespace lcf::traffic {
 /// On/off source with bounded-Pareto(alpha, 1, max_burst) ON periods
 /// (one packet per slot to a per-burst destination) and geometric OFF
 /// periods calibrated so the long-run load matches.
-class ParetoBurstTraffic final : public TrafficGenerator {
+class ParetoBurstTraffic final : public PerInputTraffic<ParetoBurstTraffic> {
 public:
     /// `alpha` in (1, 2] gives finite mean but very high variance;
     /// default 1.5 with bursts capped at 10 000 slots.
     explicit ParetoBurstTraffic(double load, double alpha = 1.5,
                                 double max_burst = 10000.0);
 
-    std::int32_t arrival(std::size_t input, std::uint64_t slot) override;
-    void arrivals(std::uint64_t slot, std::int32_t* out) override;
+    std::int32_t arrival(std::size_t input, std::uint64_t /*slot*/) override {
+        PortState& p = ports_[input];
+        if (p.remaining_burst == 0) {
+            if (!p.rng.next_bool(p_start_)) return kNoArrival;
+            p.remaining_burst = static_cast<std::uint64_t>(
+                std::llround(sample_burst(p.rng)));
+            if (p.remaining_burst == 0) p.remaining_burst = 1;
+            p.burst_dst = static_cast<std::int32_t>(p.rng.next_below(outputs_));
+        }
+        --p.remaining_burst;
+        return p.burst_dst;
+    }
     [[nodiscard]] double offered_load() const noexcept override {
         return load_;
     }

@@ -5,18 +5,8 @@
 
 namespace lcf::traffic {
 
-PermutationTraffic::PermutationTraffic(double load) : load_(load) {
-    if (load < 0.0 || load > 1.0) {
-        throw std::invalid_argument("load must be in [0, 1]");
-    }
-}
-
 void PermutationTraffic::do_reset(std::size_t inputs, std::size_t outputs,
                                   std::uint64_t seed) {
-    if (inputs == 0 || outputs == 0) {
-        throw std::invalid_argument(
-            "permutation traffic requires a non-empty switch geometry");
-    }
     if (outputs < inputs) {
         throw std::invalid_argument(
             "permutation traffic requires outputs >= inputs");
@@ -33,23 +23,6 @@ void PermutationTraffic::do_reset(std::size_t inputs, std::size_t outputs,
     rng_.reserve(inputs);
     for (std::size_t i = 0; i < inputs; ++i) {
         rng_.emplace_back(util::derive_seed(seed, i));
-    }
-}
-
-std::int32_t PermutationTraffic::arrival(std::size_t input,
-                                         std::uint64_t /*slot*/) {
-    if (!rng_[input].next_bool(load_)) return kNoArrival;
-    return static_cast<std::int32_t>(perm_[input]);
-}
-
-void PermutationTraffic::arrivals(std::uint64_t /*slot*/, std::int32_t* out) {
-    // Same per-port draws in the same order as arrival(i, slot).
-    const double load = load_;
-    const std::size_t n = rng_.size();
-    for (std::size_t i = 0; i < n; ++i) {
-        out[i] = rng_[i].next_bool(load)
-                     ? static_cast<std::int32_t>(perm_[i])
-                     : kNoArrival;
     }
 }
 

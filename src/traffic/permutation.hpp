@@ -13,12 +13,15 @@
 namespace lcf::traffic {
 
 /// Bernoulli arrivals along a fixed random permutation.
-class PermutationTraffic final : public TrafficGenerator {
+class PermutationTraffic final : public PerInputTraffic<PermutationTraffic> {
 public:
-    explicit PermutationTraffic(double load);
+    explicit PermutationTraffic(double load)
+        : load_(checked_probability(load, "load")) {}
 
-    std::int32_t arrival(std::size_t input, std::uint64_t slot) override;
-    void arrivals(std::uint64_t slot, std::int32_t* out) override;
+    std::int32_t arrival(std::size_t input, std::uint64_t /*slot*/) override {
+        if (!rng_[input].next_bool(load_)) return kNoArrival;
+        return static_cast<std::int32_t>(perm_[input]);
+    }
     [[nodiscard]] double offered_load() const noexcept override { return load_; }
     [[nodiscard]] std::string_view name() const noexcept override {
         return "permutation";

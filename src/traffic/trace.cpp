@@ -31,10 +31,4 @@ void TraceTraffic::do_reset(std::size_t inputs, std::size_t outputs,
     offered_ = span > 0 ? static_cast<double>(arrivals_.size()) / span : 0.0;
 }
 
-std::int32_t TraceTraffic::arrival(std::size_t input, std::uint64_t slot) {
-    const auto it = arrivals_.find({slot, input});
-    if (it == arrivals_.end()) return kNoArrival;
-    return static_cast<std::int32_t>(it->second);
-}
-
 }  // namespace lcf::traffic

@@ -19,11 +19,15 @@ struct TraceEntry {
 };
 
 /// Replays a fixed arrival trace; at most one arrival per (slot, input).
-class TraceTraffic final : public TrafficGenerator {
+class TraceTraffic final : public PerInputTraffic<TraceTraffic> {
 public:
     explicit TraceTraffic(std::vector<TraceEntry> entries);
 
-    std::int32_t arrival(std::size_t input, std::uint64_t slot) override;
+    std::int32_t arrival(std::size_t input, std::uint64_t slot) override {
+        const auto it = arrivals_.find({slot, input});
+        if (it == arrivals_.end()) return kNoArrival;
+        return static_cast<std::int32_t>(it->second);
+    }
     /// Offered load is trace-dependent; reports arrivals per (input,
     /// slot) over the trace's span once reset() has validated it.
     [[nodiscard]] double offered_load() const noexcept override {

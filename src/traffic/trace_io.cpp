@@ -71,13 +71,4 @@ void RecordingTraffic::do_reset(std::size_t inputs, std::size_t outputs,
     entries_.clear();
 }
 
-std::int32_t RecordingTraffic::arrival(std::size_t input, std::uint64_t slot) {
-    const std::int32_t dst = inner_->arrival(input, slot);
-    if (dst != kNoArrival) {
-        entries_.push_back(
-            TraceEntry{slot, input, static_cast<std::size_t>(dst)});
-    }
-    return dst;
-}
-
 }  // namespace lcf::traffic

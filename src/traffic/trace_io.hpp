@@ -23,14 +23,21 @@ void write_trace_csv(std::ostream& out, const std::vector<TraceEntry>& entries);
 std::vector<TraceEntry> read_trace_csv(std::istream& in);
 
 /// Decorator that forwards to an inner generator while recording every
-/// arrival it produces. After a run, take() yields the trace.
-class RecordingTraffic final : public TrafficGenerator {
+/// arrival it produces. After a run, take() yields the trace. Batched
+/// callers are recorded too: arrivals() is PerInputTraffic's loop over
+/// this arrival(), which asks the inner generator one input at a time.
+class RecordingTraffic final : public PerInputTraffic<RecordingTraffic> {
 public:
     explicit RecordingTraffic(std::unique_ptr<TrafficGenerator> inner);
 
-    // Note: no arrivals() override — the inherited batch default
-    // dispatches through arrival(), so batched callers are recorded too.
-    std::int32_t arrival(std::size_t input, std::uint64_t slot) override;
+    std::int32_t arrival(std::size_t input, std::uint64_t slot) override {
+        const std::int32_t dst = inner_->arrival(input, slot);
+        if (dst != kNoArrival) {
+            entries_.push_back(
+                TraceEntry{slot, input, static_cast<std::size_t>(dst)});
+        }
+        return dst;
+    }
     [[nodiscard]] double offered_load() const noexcept override {
         return inner_->offered_load();
     }

@@ -13,11 +13,22 @@ namespace lcf::traffic {
 
 TrafficGenerator::~TrafficGenerator() = default;
 
-void TrafficGenerator::arrivals(std::uint64_t slot, std::int32_t* out) {
-    // Generic fallback: one virtual dispatch per input. Generators with
-    // a native batch path override this with a devirtualised loop that
-    // draws in exactly this order.
-    for (std::size_t i = 0; i < inputs_; ++i) out[i] = arrival(i, slot);
+void TrafficGenerator::reset(std::size_t inputs, std::size_t outputs,
+                             std::uint64_t seed) {
+    if (inputs == 0 || outputs == 0) {
+        throw std::invalid_argument(
+            std::string(name()) +
+            " traffic requires a non-empty switch geometry");
+    }
+    do_reset(inputs, outputs, seed);
+    inputs_ = inputs;
+}
+
+double checked_probability(double p, const char* what) {
+    if (!(p >= 0.0 && p <= 1.0)) {
+        throw std::invalid_argument(std::string(what) + " must be in [0, 1]");
+    }
+    return p;
 }
 
 std::unique_ptr<TrafficGenerator> make_traffic(std::string_view name,

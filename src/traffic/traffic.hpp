@@ -9,6 +9,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace lcf::traffic {
@@ -18,22 +19,21 @@ inline constexpr std::int32_t kNoArrival = -1;
 
 /// One traffic pattern. reset() is called once per simulation with the
 /// switch geometry and a seed; arrivals are then drawn once per (slot,
-/// input) in nondecreasing slot order — either one input at a time via
-/// arrival(), or a whole slot at once via arrivals(). The two entry
-/// points draw from the same per-input RNG streams in the same order,
-/// so mixing them across slots (not within one slot) is well-defined
-/// and a batched run is bit-identical to a scalar one.
+/// input) in nondecreasing slot order, either one input at a time via
+/// arrival() or a whole slot at once via arrivals(). The generators here
+/// derive from PerInputTraffic, which defines arrivals() as arrival()
+/// for ascending inputs, so the two entry points give the same arrival
+/// vector by construction.
 class TrafficGenerator {
 public:
     virtual ~TrafficGenerator();
 
     /// Prepare for a run over an `inputs` × `outputs` switch. Generators
     /// derive independent per-input streams from `seed`. Non-virtual:
-    /// records the geometry for arrivals(), then dispatches to do_reset().
-    void reset(std::size_t inputs, std::size_t outputs, std::uint64_t seed) {
-        do_reset(inputs, outputs, seed);
-        inputs_ = inputs;
-    }
+    /// rejects an empty geometry (destinations are drawn below
+    /// `outputs`), records the geometry for arrivals(), then dispatches
+    /// to do_reset().
+    void reset(std::size_t inputs, std::size_t outputs, std::uint64_t seed);
 
     /// Destination of the packet generated at `input` in `slot`, or
     /// kNoArrival.
@@ -41,11 +41,8 @@ public:
 
     /// Batch form: out[i] = arrival(i, slot) for every input i in
     /// ascending order, in one virtual dispatch per slot instead of one
-    /// per port. `out` must hold at least inputs() entries. Overrides
-    /// MUST preserve the per-(input, slot) draw order of arrival() so
-    /// batched and scalar runs stay bit-identical (pinned by the golden
-    /// SimResult tests in tests/test_sim_golden.cpp).
-    virtual void arrivals(std::uint64_t slot, std::int32_t* out);
+    /// per port. `out` must hold at least inputs() entries.
+    virtual void arrivals(std::uint64_t slot, std::int32_t* out) = 0;
 
     /// Inputs configured by the most recent reset() (0 before the first).
     [[nodiscard]] std::size_t inputs() const noexcept { return inputs_; }
@@ -65,9 +62,28 @@ private:
     std::size_t inputs_ = 0;
 };
 
-/// Construct a generator by name: "uniform", "bursty", "hotspot",
-/// "diagonal", "permutation". `load` is the per-input offered load.
-/// Throws std::invalid_argument for unknown names.
+/// The one batch loop. `G` derives from PerInputTraffic<G> and defines
+/// `arrival()` inside its class body, so the qualified call below is
+/// inlined rather than dispatched once per input. `G` must be final: an
+/// override of arrival() in a further subclass would be bypassed here.
+template <class G>
+class PerInputTraffic : public TrafficGenerator {
+public:
+    void arrivals(std::uint64_t slot, std::int32_t* out) final {
+        static_assert(std::is_final_v<G>);
+        auto& self = static_cast<G&>(*this);
+        const std::size_t n = inputs();
+        for (std::size_t i = 0; i < n; ++i) out[i] = self.G::arrival(i, slot);
+    }
+};
+
+/// Returns `p` when it lies in [0, 1]; otherwise (NaN included) throws
+/// std::invalid_argument naming `what`.
+double checked_probability(double p, const char* what);
+
+/// Construct a generator by name: "uniform", "bursty", "pareto",
+/// "hotspot", "diagonal", "permutation". `load` is the per-input offered
+/// load. Throws std::invalid_argument for unknown names.
 std::unique_ptr<TrafficGenerator> make_traffic(std::string_view name,
                                                double load);
 

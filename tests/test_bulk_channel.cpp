@@ -324,6 +324,15 @@ TEST(BulkChannel, RejectsZeroVoqCapacity) {
     }
 }
 
+TEST(BulkChannel, RejectsNanBitErrorRate) {
+    BulkChannelConfig c = small_config();
+    c.bit_error_rate = std::nan("");
+    const std::string message = invalid_argument_message([&] {
+        BulkChannelSim sim(c, std::make_unique<traffic::BernoulliUniform>(0.1));
+    });
+    EXPECT_NE(message.find("bit_error_rate"), std::string::npos) << message;
+}
+
 // The host-indexed entry points range-check each argument and name it
 // in the message (small_config() has 4 hosts).
 TEST(BulkChannel, EnqueueMulticastRejectsHostOutOfRange) {

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+
 #include "clint/clint_sim.hpp"
 #include "clint/quick_channel.hpp"
 #include "traffic/bernoulli.hpp"
@@ -94,6 +97,23 @@ TEST(Integrated, NonIntegratedModeReportsNoControlTraffic) {
     const auto r = run_clint(c);
     EXPECT_EQ(r.quick_control_sent, 0u);
     EXPECT_EQ(r.quick_control_preemptions, 0u);
+}
+
+TEST(Integrated, NonIntegratedModeRejectsNanBitErrorRate) {
+    ClintConfig c;
+    c.hosts = 4;
+    c.slots = 100;
+    c.warmup_slots = 0;
+    c.bit_error_rate = std::nan("");
+    c.integrated = false;
+    try {
+        run_clint(c);
+        ADD_FAILURE() << "accepted a NaN bit_error_rate";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("bit_error_rate"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(Integrated, Deterministic) {

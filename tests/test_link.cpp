@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+
 #include "util/bitflip.hpp"
 #include "util/rng.hpp"
 
@@ -100,6 +103,19 @@ TEST(BitFlip, DeterministicPerSeed) {
 TEST(ErrorLink, RejectsInvalidRate) {
     EXPECT_THROW(ErrorLink(-0.1, 1), std::invalid_argument);
     EXPECT_THROW(ErrorLink(1.1, 1), std::invalid_argument);
+}
+
+TEST(ErrorLink, RejectsNanRateNamingTheField) {
+    // Regression: `ber < 0 || ber > 1` let NaN through, and the flip
+    // sampler then ran with a NaN gap.
+    try {
+        ErrorLink link(std::nan(""), 1);
+        ADD_FAILURE() << "accepted a NaN bit_error_rate";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("bit_error_rate"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(ErrorLink, EmptyPacket) {

@@ -240,13 +240,12 @@ TEST(ParanoidChecker, RecordingModeCountsInsteadOfThrowing) {
 TEST(ParanoidChecker, FairnessWindowViolationFires) {
     ParanoidChecker checker(
         ParanoidOptions{.throw_on_violation = false,
-                        .check_diagonal_fairness = true,
-                        .fairness_window = 3});
-    checker.reset(2, 2);
-    sched::RequestMatrix r(2);
+                        .check_diagonal_fairness = true});
+    checker.reset(1, 3);  // window n_in * n_out = 3
+    sched::RequestMatrix r(1, 3);
     r.set(0, 0);
     sched::Matching empty;
-    empty.reset(2, 2);
+    empty.reset(1, 3);
     for (int c = 0; c < 3; ++c) {
         EXPECT_EQ(checker.check_cycle(r, empty), 0u) << "cycle " << c;
     }

@@ -8,7 +8,9 @@
 # the build tree so compare_bench.py can warn loudly on a
 # Release-vs-Debug mismatch. A memory gate then compares the repository
 # benchmark's (perfbench/) peak RSS on the n=256 VOQ workload against the
-# 16-port sweep's, which sits at the process floor.
+# 16-port sweep's, which sits at the process floor. Last, every perfbench
+# workload runs once untraced and once traced, and any failed correctness
+# check fails the script.
 #
 # Usage: tools/perf_smoke.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -78,3 +80,9 @@ print(f"perf_smoke: peak_rss_mb voq_n256_uniform {voq:.1f} - "
       f"fig12_n16_sweep {floor:.1f} = {gap:.1f} MB (limit 10)")
 sys.exit(1 if gap > 10.0 else 0)
 PY
+
+# Correctness: every perfbench workload for 1 s, untraced and traced.
+# The traced runs wrap the scheduler and traffic virtuals in perfbench's
+# timing decorators, and clint_faulted checks that one seed gives one
+# result. run.py exits 1 when any run reports correct=false.
+python3 "$REPO_ROOT/perfbench/run.py" --workload all --seconds 1 --trace 1
