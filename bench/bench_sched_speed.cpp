@@ -3,6 +3,11 @@
 // This is the software analogue of §6.2's speed comparison (O(n)
 // sequential central scheduler vs O(log n)-iteration distributed one).
 //
+// Every row runs at density 0.35 except the BM_*Sparse rows, which run
+// at 0.02: about five requests per row at n=256, the density SwitchSim
+// presents to the scheduler at load 0.9 there (few requests, many NRQ
+// levels), where the dense rows would overstate per-candidate costs.
+//
 // The BM_*Reference benchmarks run the pre-optimization per-bit LCF
 // transcriptions kept behind the factory's `*_reference` names, so one
 // run of this binary yields matched before/after numbers for the
@@ -50,12 +55,16 @@ std::vector<RequestMatrix> make_inputs(std::size_t n, double density,
     return inputs;
 }
 
-void run_scheduler(benchmark::State& state, const std::string& name) {
+constexpr double kDensity = 0.35;
+constexpr double kSparseDensity = 0.02;
+
+void run_scheduler(benchmark::State& state, const std::string& name,
+                   double density = kDensity) {
     const auto n = static_cast<std::size_t>(state.range(0));
     auto s = lcf::core::make_scheduler(
         name, lcf::sched::SchedulerConfig{.iterations = 4, .seed = 2});
     s->reset(n, n);
-    const auto inputs = make_inputs(n, 0.35, 32);
+    const auto inputs = make_inputs(n, density, 32);
     Matching m;
     std::size_t k = 0;
     for (auto _ : state) {
@@ -88,6 +97,18 @@ void BM_LcfDistReference(benchmark::State& state) {
 void BM_LcfDistRrReference(benchmark::State& state) {
     run_scheduler(state, "lcf_dist_rr_reference");
 }
+void BM_LcfCentralSparse(benchmark::State& state) {
+    run_scheduler(state, "lcf_central", kSparseDensity);
+}
+void BM_LcfDistSparse(benchmark::State& state) {
+    run_scheduler(state, "lcf_dist", kSparseDensity);
+}
+void BM_LcfDistRrSparse(benchmark::State& state) {
+    run_scheduler(state, "lcf_dist_rr", kSparseDensity);
+}
+void BM_IslipSparse(benchmark::State& state) {
+    run_scheduler(state, "islip", kSparseDensity);
+}
 void BM_Pim(benchmark::State& state) { run_scheduler(state, "pim"); }
 void BM_Islip(benchmark::State& state) { run_scheduler(state, "islip"); }
 void BM_Rrm(benchmark::State& state) { run_scheduler(state, "rrm"); }
@@ -102,7 +123,7 @@ void BM_RtlDatapath(benchmark::State& state) {
     const auto n = static_cast<std::size_t>(state.range(0));
     lcf::hw::RtlCentralScheduler s;
     s.reset(n, n);
-    const auto inputs = make_inputs(n, 0.35, 32);
+    const auto inputs = make_inputs(n, kDensity, 32);
     Matching m;
     std::size_t k = 0;
     for (auto _ : state) {
@@ -118,6 +139,10 @@ void radix_args(benchmark::internal::Benchmark* b) {
     for (const auto n : kRadices) b->Arg(n);
 }
 
+void sparse_args(benchmark::internal::Benchmark* b) {
+    b->Arg(16)->Arg(64)->Arg(256);
+}
+
 BENCHMARK(BM_LcfCentral)->Apply(radix_args);
 BENCHMARK(BM_LcfCentralRr)->Apply(radix_args);
 BENCHMARK(BM_LcfDist)->Apply(radix_args);
@@ -126,6 +151,10 @@ BENCHMARK(BM_LcfCentralReference)->Apply(radix_args);
 BENCHMARK(BM_LcfCentralRrReference)->Apply(radix_args);
 BENCHMARK(BM_LcfDistReference)->Apply(radix_args);
 BENCHMARK(BM_LcfDistRrReference)->Apply(radix_args);
+BENCHMARK(BM_LcfCentralSparse)->Apply(sparse_args);
+BENCHMARK(BM_LcfDistSparse)->Apply(sparse_args);
+BENCHMARK(BM_LcfDistRrSparse)->Apply(sparse_args);
+BENCHMARK(BM_IslipSparse)->Apply(sparse_args);
 BENCHMARK(BM_Pim)->Apply(radix_args);
 BENCHMARK(BM_Islip)->Apply(radix_args);
 BENCHMARK(BM_Rrm)->Apply(radix_args);

@@ -1,5 +1,7 @@
 #include "core/lcf_dist.hpp"
 
+#include <algorithm>
+
 namespace lcf::core {
 
 LcfDistScheduler::LcfDistScheduler(const LcfDistOptions& options)
@@ -19,8 +21,14 @@ void LcfDistScheduler::schedule(const sched::RequestMatrix& requests,
     last_iterations_ = 0;
     if (n_in == 0 || n_out == 0) return;
 
-    nrq_.resize(n_in);
-    ngt_.resize(n_out);
+    if (best_.size() != n_in || visit_.size() != n_out) {
+        level_inputs_.assign(n_out + 1, util::BitVec(n_in));
+        level_rows_.assign(n_out + 1, util::BitVec(n_out));
+        used_ = util::BitVec(n_out + 1);
+        visit_ = util::BitVec(n_out);
+        cand_ = granted_ = util::BitVec(n_in);
+        best_.assign(n_in, UINT64_MAX);
+    }
     // A switch that shrank since the last cycle keeps walking its RR
     // position inside the current geometry.
     rr_input_ = sched::wrap(rr_input_, n_in);
@@ -31,33 +39,60 @@ void LcfDistScheduler::schedule(const sched::RequestMatrix& requests,
         arbiter_.match(rr_input_, rr_output_);
     }
 
-    // Grant: each unmatched target grants the requester with the lowest
-    // NRQ, the rotating chain starting at (cycle_ + j) breaking ties, and
-    // records NGT, the number of requests it saw. Accept: each initiator
-    // accepts the grant with the lowest NGT, the chain starting at
-    // (cycle_ + i) breaking ties. One division per side and slot, then
-    // wrap() per pick.
+    // Grant ties go to the rotating chain starting at (cycle_ + j),
+    // accept ties to the one starting at (cycle_ + i). One division per
+    // side and slot, then wrap() per pick.
     const std::size_t in0 = cycle_ % n_in;
     const std::size_t out0 = cycle_ % n_out;
-    const auto grant = [&](std::size_t j, const util::BitVec& cand) {
-        ngt_[j] = static_cast<std::uint32_t>(cand.count());
-        return sched::min_rotated(cand, sched::wrap(in0 + j, n_in),
-                                  [&](std::size_t i) { return nrq_[i]; });
-    };
-    const auto accept = [&](std::size_t i, const util::BitVec& offers,
-                            std::size_t) {
-        return sched::min_rotated(offers, sched::wrap(out0 + i, n_out),
-                                  [&](std::size_t j) { return ngt_[j]; });
-    };
+    const util::BitVec& free_in = arbiter_.free_inputs();
     bool granted = true;
-    while (granted && last_iterations_ < options_.iterations) {
-        // Request: NRQ of an unmatched initiator = number of its
-        // requests to still-unmatched targets (its remaining choices).
-        for (const std::size_t i : arbiter_.free_inputs().set_bits()) {
-            nrq_[i] = static_cast<std::uint32_t>(
-                requests.row(i).and_count(arbiter_.free_outputs()));
+    for (; granted && last_iterations_ < options_.iterations;
+         ++last_iterations_) {
+        // Request: file each unmatched initiator under its NRQ, the
+        // number of its requests to still-unmatched targets (its row
+        // count while every output is free).
+        const bool all_free = out.matched_outputs().none();
+        for (const std::size_t i : free_in.set_bits()) {
+            const std::size_t nrq =
+                all_free ? requests.row_count(i)
+                         : requests.row(i).and_count(arbiter_.free_outputs());
+            if (nrq == 0) continue;
+            level_inputs_[nrq].set(i);
+            level_rows_[nrq] |= requests.row(i);
+            used_.set(nrq);
         }
-        granted = arbiter_.round(last_iterations_++, grant, accept);
+
+        // Grant: for k upwards, level k's row union ∩ the outputs not
+        // yet granted are the outputs whose least-NRQ requester has NRQ
+        // k. Each grants the first such requester in its chain, with NGT,
+        // its request count. Accept: each input takes its least (NGT,
+        // rank) grant, in ascending input order.
+        visit_ = arbiter_.free_outputs();
+        for (const std::size_t k : used_.set_bits()) {
+            util::BitVec& hits = level_rows_[k];
+            hits &= visit_;
+            visit_.subtract(hits);
+            for (const std::size_t j : hits.set_bits()) {
+                cand_.assign_and(requests.col(j), level_inputs_[k]);
+                const std::size_t i =
+                    cand_.find_first_from(sched::wrap(in0 + j, n_in));
+                const std::uint64_t ngt = requests.col(j).and_count(free_in);
+                best_[i] = std::min(best_[i], ngt << 32 | sched::rotated_rank(
+                    j, sched::wrap(out0 + i, n_out), n_out));
+                granted_.set(i);
+            }
+            hits.clear();
+            level_inputs_[k].clear();
+        }
+        used_.clear();
+
+        granted = granted_.any();
+        for (const std::size_t i : granted_.set_bits()) {
+            arbiter_.match(i, sched::wrap(out0 + i + (best_[i] & UINT32_MAX),
+                                          n_out));
+            best_[i] = UINT64_MAX;
+        }
+        granted_.clear();
     }
 
     // Advance per-cycle round-robin state: the RR position walks all n²

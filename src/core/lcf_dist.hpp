@@ -42,13 +42,13 @@ struct LcfDistOptions {
 /// every per-port tie-break pointer by one position each scheduling
 /// cycle, mirroring the hardware's PRIO shift registers (§4.2).
 ///
-/// Implementation: the rounds run on sched::Arbiter, the same
-/// request / grant / accept loop as PIM and iSLIP. Before each round an
-/// initiator's NRQ is one row ∩ free_outputs popcount; the grant and
-/// accept picks are sched::min_rotated over the candidate and offer
-/// sets. Per-port NRQ/NGT live in members, so a warm scheduler does not
-/// allocate. Bit-identical to LcfDistReferenceScheduler (enforced by the
-/// equivalence suite).
+/// Implementation: each round files the free initiators into levels by
+/// NRQ. For k = 1, 2, …, one AND of level k's row union with the outputs
+/// not yet granted finds every output whose least-NRQ requester has NRQ
+/// k; it grants the first of col(j) ∩ level k in its rotating chain. An
+/// input accepts the least (NGT, rotated rank) of its grants. Level
+/// tables are sized once per geometry, so a warm scheduler does not
+/// allocate. Bit-identical to LcfDistReferenceScheduler (equivalence suite).
 class LcfDistScheduler final : public sched::Scheduler {
 public:
     explicit LcfDistScheduler(const LcfDistOptions& options = {});
@@ -82,8 +82,13 @@ private:
     std::size_t rr_output_ = 0;
     std::size_t cycle_ = 0;  // drives tie-break pointer rotation
     std::size_t last_iterations_ = 0;
-    std::vector<std::uint32_t> nrq_;  // per input: requests to free outputs
-    std::vector<std::uint32_t> ngt_;  // per output: requests seen this round
+    std::vector<util::BitVec> level_inputs_;  // [k <= n_out]: inputs, NRQ k
+    std::vector<util::BitVec> level_rows_;    // [k]: union of their rows
+    util::BitVec used_;                // NRQ levels holding inputs
+    util::BitVec visit_;               // free outputs not yet granted
+    util::BitVec cand_;                // scratch: col(j) ∩ level k
+    util::BitVec granted_;             // inputs holding grants this round
+    std::vector<std::uint64_t> best_;  // per input: min (NGT << 32 | rank)
     sched::Arbiter arbiter_;
 };
 

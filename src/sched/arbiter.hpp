@@ -1,11 +1,11 @@
 #pragma once
 // Shared core of the iterative request / grant / accept matchers
-// (iSLIP/RRM, PIM, iLQF, FIFO, distributed LCF) and of the wavefront
-// sweep: the free-port sets, each output's candidate set and each
-// input's received grants. A scheduler supplies only its pick rules; a
-// pick over a candidate or grant set is a word-parallel BitVec query
-// ("first set bit at or after the pointer" via find_first_from) or a
-// min_rotated() over the set bits, instead of a per-bit
+// (iSLIP/RRM, PIM, iLQF, FIFO) and of the wavefront sweep: the free-port
+// sets (all that distributed LCF uses), each output's candidate set and
+// each input's received grants. A scheduler supplies only its pick
+// rules; a pick over a candidate or grant set is a word-parallel BitVec
+// query ("first set bit at or after the pointer" via find_first_from)
+// or a min_rotated() over the set bits, instead of a per-bit
 // `(ptr + k) % n` probe loop; pointers move with wrap(), not `%`.
 
 #include <algorithm>

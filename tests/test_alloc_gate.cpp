@@ -318,5 +318,46 @@ TEST(AllocationGate, WarmScheduleCallsStayUnderBudget) {
     }
 }
 
+// Distributed LCF at the benchmark's 256 ports, on matrices from the
+// simulator's sparse density up to full: full rows put every input on
+// the top NRQ level, so the level tables reach their largest index. The
+// tables are sized once per geometry, so the warm window allocates
+// nothing at all.
+TEST(AllocationGate, WarmLcfDistCallsAt256PortsAllocateNothing) {
+    constexpr std::size_t kBigPorts = 256;
+    constexpr double kBigDensities[] = {0.02, 0.125, 0.25, 0.5, 0.75, 1.0};
+    util::Xoshiro256 rng(11);
+    std::vector<sched::RequestMatrix> requests;
+    util::BitVec row(kBigPorts);
+    for (const double density : kBigDensities) {
+        sched::RequestMatrix r(kBigPorts);
+        for (std::size_t i = 0; i < kBigPorts; ++i) {
+            for (std::size_t wi = 0; wi < row.word_count(); ++wi) {
+                row.set_word(wi, rng.next_bernoulli_word(density));
+            }
+            r.assign_row(i, row);
+        }
+        requests.push_back(std::move(r));
+    }
+    for (const std::string name : {"lcf_dist", "lcf_dist_rr"}) {
+        auto scheduler = core::make_scheduler(name);
+        scheduler->reset(kBigPorts, kBigPorts);
+        sched::Matching matching(kBigPorts);
+        constexpr std::size_t kWarmup = 60;
+        constexpr std::size_t kCalls = 600;
+        std::size_t before = 0;
+        for (std::size_t call = 0; call < kWarmup + kCalls; ++call) {
+            if (call == kWarmup) before = g_allocations;
+            scheduler->schedule(requests[call % requests.size()], matching);
+        }
+        const std::size_t allocations = g_allocations - before;
+        EXPECT_EQ(allocations, 0u)
+            << name << " allocated " << allocations << " times in " << kCalls
+            << " warm schedule() calls at " << kBigPorts << " ports";
+        std::cout << name << " at " << kBigPorts << " ports: " << allocations
+                  << " allocations in " << kCalls << " warm schedule() calls\n";
+    }
+}
+
 }  // namespace
 }  // namespace lcf

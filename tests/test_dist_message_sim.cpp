@@ -18,7 +18,8 @@ using sched::Matching;
 using sched::RequestMatrix;
 
 TEST(DistMessageSim, MatchesBehaviouralSchedulerOverRandomSequences) {
-    for (const std::size_t n : {4u, 7u, 16u}) {
+    // 65 and 130 ports take two and three words per row and column.
+    for (const std::size_t n : {4u, 7u, 16u, 65u, 130u}) {
         core::LcfDistScheduler behav(
             core::LcfDistOptions{.iterations = 4, .round_robin = false});
         DistMessageSim msg(4);

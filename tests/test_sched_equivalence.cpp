@@ -32,10 +32,11 @@ struct Geometry {
     std::size_t outputs;
 };
 
-// Square radices below, at, and above one 64-bit word, plus both
-// rectangular orientations.
-const Geometry kGeometries[] = {
-    {16, 16}, {13, 13}, {67, 67}, {12, 20}, {20, 12}};
+// Square radices below, at, and above one 64-bit word and at the
+// benchmark's 256 ports, plus both rectangular orientations, once with
+// inputs and outputs spanning different word counts.
+const Geometry kGeometries[] = {{16, 16}, {13, 13},  {67, 67},  {12, 20},
+                                {20, 12}, {256, 256}, {130, 70}, {70, 130}};
 
 // Densities cycled per scheduling cycle; the 0.0 and 1.0 extremes pin
 // the empty- and full-matrix edge cases.
@@ -54,12 +55,39 @@ sched::RequestMatrix random_requests(util::Xoshiro256& rng,
     return r;
 }
 
+// Every row draws its own density, so one matrix holds empty rows,
+// single-bit rows, full rows and rows in between: NRQ spans 0..outputs.
+sched::RequestMatrix mixed_row_requests(util::Xoshiro256& rng,
+                                        const Geometry& g) {
+    sched::RequestMatrix r(g.inputs, g.outputs);
+    for (std::size_t i = 0; i < g.inputs; ++i) {
+        switch (rng.next_below(4)) {
+            case 0:  // empty row
+                break;
+            case 1:  // single-bit row
+                r.set(i, rng.next_below(g.outputs));
+                break;
+            case 2:  // full row
+                for (std::size_t j = 0; j < g.outputs; ++j) r.set(i, j);
+                break;
+            default: {
+                const double density = rng.next_double();
+                for (std::size_t j = 0; j < g.outputs; ++j) {
+                    if (rng.next_bool(density)) r.set(i, j);
+                }
+            }
+        }
+    }
+    return r;
+}
+
 constexpr std::size_t kCycles = 250;
 
-class SchedEquivalence : public ::testing::TestWithParam<std::string> {};
-
-TEST_P(SchedEquivalence, BitIdenticalToReferenceOverRandomCycles) {
-    const std::string name = GetParam();
+// Runs `name` and its reference twin over kCycles matrices from
+// draw(rng, geometry, cycle) on every geometry, the optimized side
+// under the ParanoidChecker.
+template <class Draw>
+void expect_bit_identical_to_reference(const std::string& name, Draw draw) {
     const sched::SchedulerConfig config{.iterations = 4, .seed = 7};
     for (const Geometry& g : kGeometries) {
         auto opt = core::make_scheduler(name, config);
@@ -74,15 +102,13 @@ TEST_P(SchedEquivalence, BitIdenticalToReferenceOverRandomCycles) {
         util::Xoshiro256 rng(g.inputs * 1009 + g.outputs);
         sched::Matching m_opt, m_ref;
         for (std::size_t cycle = 0; cycle < kCycles; ++cycle) {
-            const double density =
-                kDensities[cycle % (sizeof(kDensities) / sizeof(double))];
-            const sched::RequestMatrix r = random_requests(rng, g, density);
+            const sched::RequestMatrix r = draw(rng, g, cycle);
             opt->schedule(r, m_opt);
             ref->schedule(r, m_ref);
             ASSERT_EQ(m_opt, m_ref)
                 << name << " diverges from its reference at cycle " << cycle
-                << " (" << g.inputs << "x" << g.outputs << ", density "
-                << density << ")\noptimized: " << m_opt.to_string()
+                << " (" << g.inputs << "x" << g.outputs
+                << ")\noptimized: " << m_opt.to_string()
                 << "\nreference: " << m_ref.to_string();
             ASSERT_EQ(opt->last_iterations(), ref->last_iterations())
                 << name << " iteration count diverges at cycle " << cycle;
@@ -92,6 +118,24 @@ TEST_P(SchedEquivalence, BitIdenticalToReferenceOverRandomCycles) {
         EXPECT_EQ(checker.violation_count(), 0u);
         EXPECT_EQ(checker.cycles_checked(), kCycles);
     }
+}
+
+class SchedEquivalence : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(SchedEquivalence, BitIdenticalToReferenceOverRandomCycles) {
+    expect_bit_identical_to_reference(
+        GetParam(), [](util::Xoshiro256& rng, const Geometry& g,
+                       std::size_t cycle) {
+            const double density =
+                kDensities[cycle % (sizeof(kDensities) / sizeof(double))];
+            return random_requests(rng, g, density);
+        });
+}
+
+TEST_P(SchedEquivalence, BitIdenticalToReferenceOnMixedRowDensities) {
+    expect_bit_identical_to_reference(
+        GetParam(), [](util::Xoshiro256& rng, const Geometry& g,
+                       std::size_t) { return mixed_row_requests(rng, g); });
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -38,9 +38,12 @@ run_gate() {
         --max-ratio 3.0 --fresh-build-type "$BUILD_TYPE"
 }
 
-# Scheduler-level: schedule() microbenchmarks at n in {16, 64}.
+# Scheduler-level: schedule() microbenchmarks at n in {16, 64}, plus
+# distributed LCF at n=256 on sparse matrices (density 0.02, about what
+# SwitchSim presents at load 0.9): the one gated scheduler row at the
+# radix and density of perfbench's voq_n256_uniform workload.
 run_gate "$BUILD_DIR/bench/bench_sched_speed" \
-    "$REPO_ROOT/BENCH_sched_speed.json" '/(16|64)$' 0.05
+    "$REPO_ROOT/BENCH_sched_speed.json" '/(16|64)$|^BM_LcfDistSparse/256$' 0.05
 
 # End-to-end: slots/sec at n in {16, 64}, load 0.9, plus the uniform
 # n=256 load-0.9 rows (one ~0.1 s iteration each; the rest of the n=256
