@@ -46,8 +46,8 @@ BENCHES = {
     "sched_speed": {
         "binary": "bench_sched_speed",
         "output": "BENCH_sched_speed.json",
-        "workload": "random request matrices, density 0.35, "
-                    "iterations 4 (iterative schedulers)",
+        "workload": "random request matrices, density 0.35 (BM_*Sparse "
+                    "rows 0.02), iterations 4 (iterative schedulers)",
     },
     "sim_throughput": {
         "binary": "bench_sim_throughput",
