@@ -46,6 +46,12 @@ namespace {
 constexpr std::uint64_t kSlots = 2048;
 constexpr std::uint64_t kWarmup = 256;
 
+// An n=256 iteration takes 60-190 ms, so at a small
+// --benchmark_min_time such a row is one or two runs and a 1.5x
+// scheduler change hides in their noise. These rows run at least this
+// long (it overrides the flag), which is 10 or more iterations each.
+constexpr double kMinTime256 = 2.5;
+
 void run_sim_point(benchmark::State& state, const std::string& sched,
                    const std::string& traffic, std::size_t ports,
                    double load) {
@@ -114,25 +120,27 @@ void register_grid() {
                     const std::string name =
                         "BM_SimThroughput/" + sched + "/" + traffic + "/" +
                         std::to_string(n) + "/" + std::to_string(pct);
-                    benchmark::RegisterBenchmark(
+                    auto* bench = benchmark::RegisterBenchmark(
                         name.c_str(),
                         [sched, traffic, n, pct](benchmark::State& state) {
                             run_sim_point(state, sched, traffic, n,
                                           static_cast<double>(pct) / 100.0);
-                        })
-                        ->Unit(benchmark::kMillisecond);
+                        });
+                    bench->Unit(benchmark::kMillisecond);
+                    if (n == 256) bench->MinTime(kMinTime256);
                 }
             }
         }
     }
     for (const std::size_t n : {std::size_t{16}, std::size_t{256}}) {
-        benchmark::RegisterBenchmark(
+        auto* bench = benchmark::RegisterBenchmark(
             ("BM_SimThroughput/ilqf/uniform/" + std::to_string(n) + "/90")
                 .c_str(),
             [n](benchmark::State& state) {
                 run_sim_point(state, "ilqf", "uniform", n, 0.9);
-            })
-            ->Unit(benchmark::kMillisecond);
+            });
+        bench->Unit(benchmark::kMillisecond);
+        if (n == 256) bench->MinTime(kMinTime256);
     }
     for (const std::string sched : {"wfront", "pim"}) {
         for (const int pct : {20, 90}) {

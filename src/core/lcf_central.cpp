@@ -1,5 +1,7 @@
 #include "core/lcf_central.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
 
 #include "sched/arbiter.hpp"
@@ -33,7 +35,7 @@ void LcfCentralScheduler::ensure_scratch(std::size_t n_in, std::size_t n_out) {
     n_in_ = n_in;
     n_out_ = n_out;
     free_inputs_ = util::BitVec(n_in);
-    cand_ = util::BitVec(n_in);
+    live_words_.resize(free_inputs_.word_count());
     masked_row_ = util::BitVec(n_out);
     busy_inputs_ = util::BitVec(n_in);
     busy_outputs_ = util::BitVec(n_out);
@@ -60,20 +62,33 @@ void LcfCentralScheduler::schedule(const sched::RequestMatrix& requests,
     advance_diagonal();
 }
 
-// Grant a pair and maintain the bookkeeping: the winner leaves the
-// competition (one bit), and requests for the consumed output stop
-// counting as choices (one walk of the candidate word's set bits —
-// cand_ holds exactly the column's still-free requesters).
-void LcfCentralScheduler::grant(std::size_t input, std::size_t col,
-                                sched::Matching& out) {
-    out.match(input, col);
-    free_inputs_.reset(input);
-    for (const std::size_t i : cand_.set_bits()) {
-        if (i != input) {
+// One pass over column ∧ free_inputs_: the non-zero words are gathered
+// first (a store per word and no branch), then only they are walked. Each
+// candidate's key is read before its own decrement, so the pick sees the
+// NRQ of the moment the output is scheduled, and every candidate — the
+// winner too, whose count is never read again since it leaves
+// free_inputs_ — loses the choice this output was.
+std::size_t LcfCentralScheduler::charge(const util::BitVec& column,
+                                        std::size_t start) noexcept {
+    std::size_t live = 0;
+    for (std::size_t w = 0; w < live_words_.size(); ++w) {
+        const std::uint64_t bits = column.word(w) & free_inputs_.word(w);
+        live_words_[live] = {bits, w * util::BitVec::kWordBits};
+        live += bits != 0;
+    }
+    if (live == 0) return util::BitVec::npos;
+    std::uint64_t best = UINT64_MAX;
+    for (std::size_t k = 0; k < live; ++k) {
+        const auto [word, base] = live_words_[k];
+        for (std::uint64_t bits = word; bits != 0; bits &= bits - 1) {
+            const std::size_t i =
+                base + static_cast<std::size_t>(std::countr_zero(bits));
             assert(nrq_[i] > 0);
-            --nrq_[i];
+            best = std::min(best, std::uint64_t{nrq_[i]--} << 32 |
+                                      sched::rotated_rank(i, start, n_in_));
         }
     }
+    return sched::wrap(start + (best & UINT32_MAX), n_in_);
 }
 
 void LcfCentralScheduler::run_lcf(const sched::RequestMatrix& requests,
@@ -120,8 +135,9 @@ void LcfCentralScheduler::run_lcf(const sched::RequestMatrix& requests,
             if (busy_outputs != nullptr && busy_outputs->test(col)) continue;
             if (free_inputs_.test(pos_input) &&
                 requests.get(pos_input, col)) {
-                cand_.assign_and(requests.col(col), free_inputs_);
-                grant(pos_input, col, out);
+                charge(requests.col(col), pos_input);
+                out.match(pos_input, col);
+                free_inputs_.reset(pos_input);
             }
         }
     }
@@ -131,24 +147,25 @@ void LcfCentralScheduler::run_lcf(const sched::RequestMatrix& requests,
          ++res, col = col + 1 == n_out ? 0 : col + 1,
                 rr_pos_input = rr_pos_input + 1 == n_in ? 0 : rr_pos_input + 1) {
         if (busy_outputs != nullptr && busy_outputs->test(col)) continue;
-        if (out.output_matched(col)) continue;  // diagonal-first stage
+        if (options_.variant == RrVariant::kDiagonalFirst &&
+            out.output_matched(col)) {
+            continue;
+        }
 
-        cand_.assign_and(requests.col(col), free_inputs_);
-        if (cand_.none()) continue;
-
+        // LCF: the requester with the fewest outstanding requests wins,
+        // the chain rotating from the round-robin offset breaking ties —
+        // exactly the reference's priority chain — unless the round-robin
+        // position itself requests this output.
+        const util::BitVec& column = requests.col(col);
         const bool rr_wins =
             (options_.variant == RrVariant::kInterleaved ||
              (options_.variant == RrVariant::kSingle && res == 0)) &&
-            cand_.test(rr_pos_input);
-        std::size_t gnt = rr_pos_input;  // the round-robin position wins
-        if (!rr_wins) {
-            // LCF: grant the requester with the fewest outstanding
-            // requests, the chain rotating from the round-robin offset
-            // breaking ties — exactly the reference's priority chain.
-            gnt = sched::min_rotated(cand_, rr_pos_input,
-                                     [&](std::size_t i) { return nrq_[i]; });
-        }
-        grant(gnt, col, out);
+            column.test(rr_pos_input) && free_inputs_.test(rr_pos_input);
+        const std::size_t least = charge(column, rr_pos_input);
+        if (least == util::BitVec::npos) continue;
+        const std::size_t gnt = rr_wins ? rr_pos_input : least;
+        out.match(gnt, col);
+        free_inputs_.reset(gnt);
     }
 }
 

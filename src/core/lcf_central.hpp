@@ -16,6 +16,7 @@
 #include "sched/scheduler.hpp"
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/precalc.hpp"
@@ -87,23 +88,23 @@ private:
     ///
     /// Word-parallel formulation: instead of consumable per-bit request
     /// copies, a free-inputs bit vector plus the request matrix's column
-    /// view reduce each output's candidate set to one
-    /// masked AND (`col ∩ free_inputs`); the winner is the candidate
-    /// minimizing (NRQ, rotated rank) in one walk of the candidate
-    /// word's set bits — exactly the rotating tie-break chain, with no
-    /// per-input scan and no `%` in the inner loop. NRQ is maintained
-    /// incrementally: each grant decrements the consumed column's
-    /// remaining candidates. Produces bit-identical matchings to
-    /// LcfCentralReferenceScheduler (enforced by the equivalence
-    /// property suite).
+    /// view reduce each output's candidate set to one masked AND
+    /// (`col ∩ free_inputs`). NRQ is kept incrementally, and each output
+    /// costs one walk of its candidates (charge()): the walk picks the
+    /// candidate minimizing (NRQ, rotated rank) — exactly the rotating
+    /// tie-break chain, with no per-input scan and no `%` — and takes the
+    /// consumed output off every candidate's NRQ as it goes. Produces
+    /// bit-identical matchings to LcfCentralReferenceScheduler (enforced
+    /// by the equivalence property suite).
     void run_lcf(const sched::RequestMatrix& requests,
                  const util::BitVec* busy_inputs,
                  const util::BitVec* busy_outputs, sched::Matching& out);
     void advance_diagonal() noexcept;
     void ensure_scratch(std::size_t n_in, std::size_t n_out);
-    /// Grant (input, col). Precondition: cand_ holds col's candidate set
-    /// (col's requesters ∩ free inputs), winner included.
-    void grant(std::size_t input, std::size_t col, sched::Matching& out);
+    /// The candidate of `column` ∩ free_inputs_ minimizing (NRQ, rank in
+    /// the chain rotating from `start`), or npos when there is none;
+    /// charges every candidate one choice in the same walk.
+    std::size_t charge(const util::BitVec& column, std::size_t start) noexcept;
 
     LcfCentralOptions options_;
     std::size_t rr_input_ = 0;   // I in the pseudocode
@@ -112,9 +113,11 @@ private:
     std::size_t n_out_ = 0;
     // Scratch reused across slots.
     util::BitVec free_inputs_;         // inputs still competing
-    util::BitVec cand_;                // current column ∩ free_inputs_
     util::BitVec masked_row_;          // precalc path: row & ~busy_outputs
     std::vector<std::uint32_t> nrq_;   // remaining choices per free input
+    // charge(): the non-zero words of column ∩ free_inputs_, each with
+    // the index of its first bit.
+    std::vector<std::pair<std::uint64_t, std::size_t>> live_words_;
     // schedule_with_precalc() stage-1 scratch.
     util::BitVec busy_inputs_;         // inputs that won a precalc claim
     util::BitVec busy_outputs_;        // outputs a precalc claim took

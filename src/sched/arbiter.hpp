@@ -58,7 +58,10 @@ std::size_t min_rotated(const util::BitVec& set, std::size_t start,
 }
 
 /// Per-slot request / grant / accept state, sized from the request
-/// matrix on every begin(). Holds non-owning pointers to the request
+/// matrix by begin() when the geometry changes; the grant/offer state
+/// only round() touches is sized by its first call after such a change,
+/// so users that never run a round (distributed LCF, the wavefront,
+/// FIFO) do not carry it. Holds non-owning pointers to the request
 /// matrix and matching of the current schedule() call.
 class Arbiter {
 public:
@@ -71,9 +74,9 @@ public:
         out_ = &out;
         out.reset(n_in, n_out);
         if (free_inputs_.size() != n_in || free_outputs_.size() != n_out) {
-            free_inputs_ = cand_ = granted_ = util::BitVec(n_in);
+            free_inputs_ = cand_ = util::BitVec(n_in);
             free_outputs_ = util::BitVec(n_out);
-            offers_.assign(n_in, util::BitVec(n_out));
+            offers_.clear();  // round() sizes its state on first use
         }
         free_inputs_.fill();
         free_outputs_.fill();
@@ -107,6 +110,11 @@ public:
     /// `accept(i, offers, iter)` out of its set of granting outputs.
     template <class Grant, class Accept>
     bool round(std::size_t iter, Grant&& grant, Accept&& accept) {
+        if (offers_.size() != free_inputs_.size()) {
+            granted_ = util::BitVec(free_inputs_.size());
+            offers_.assign(free_inputs_.size(),
+                           util::BitVec(free_outputs_.size()));
+        }
         for (const std::size_t j : free_outputs_.set_bits()) {
             if (candidates(j).none()) continue;
             const std::size_t i = grant(j, cand_);
@@ -139,8 +147,8 @@ private:
     util::BitVec free_inputs_;
     util::BitVec free_outputs_;
     util::BitVec cand_;                // scratch: candidates(j)
-    util::BitVec granted_;             // inputs holding grants this round
-    std::vector<util::BitVec> offers_;  // per input: outputs granting it
+    util::BitVec granted_;             // round(): inputs holding grants
+    std::vector<util::BitVec> offers_;  // round(): each input's grants
 };
 
 }  // namespace lcf::sched

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <memory>
 #include <string>
@@ -159,39 +160,54 @@ TEST(SchedEquivalence, ReferenceNamesRoundTripThroughFactory) {
 
 // The two-stage precalculated path (§4.3) must also match: stage-1
 // integrity filtering and the stage-2 LCF pass over the leftovers,
-// including multicast fan-outs and deliberately conflicting claims.
+// including multicast fan-outs and deliberately conflicting claims —
+// within one word, across word boundaries and on rectangular switches.
 class PrecalcEquivalence : public ::testing::TestWithParam<core::RrVariant> {};
+
+const Geometry kPrecalcGeometries[] = {
+    {16, 16}, {67, 67}, {256, 256}, {130, 70}, {70, 130}};
+
+// Each entry is claimed with this many claims per port of the larger
+// side, divided by that side's count: 0.08 at 16 ports.
+constexpr double kClaimsPerPort = 0.08 * 16;
 
 TEST_P(PrecalcEquivalence, PrecalcPathMatchesReference) {
     const core::LcfCentralOptions options{.variant = GetParam()};
-    constexpr std::size_t kPorts = 16;
-    core::LcfCentralScheduler opt(options);
-    core::LcfCentralReferenceScheduler ref(options);
-    opt.reset(kPorts, kPorts);
-    ref.reset(kPorts, kPorts);
+    for (const Geometry& g : kPrecalcGeometries) {
+        core::LcfCentralScheduler opt(options);
+        core::LcfCentralReferenceScheduler ref(options);
+        opt.reset(g.inputs, g.outputs);
+        ref.reset(g.inputs, g.outputs);
+        const double claim_p =
+            kClaimsPerPort /
+            static_cast<double>(std::max(g.inputs, g.outputs));
 
-    util::Xoshiro256 rng(4242);
-    core::MulticastResult r_opt, r_ref;
-    for (std::size_t cycle = 0; cycle < kCycles; ++cycle) {
-        const double density =
-            kDensities[cycle % (sizeof(kDensities) / sizeof(double))];
-        const sched::RequestMatrix requests =
-            random_requests(rng, {kPorts, kPorts}, density);
-        core::PrecalcSchedule precalc(kPorts);
-        for (std::size_t i = 0; i < kPorts; ++i) {
-            for (std::size_t j = 0; j < kPorts; ++j) {
-                // Sparse claims; multiple claims per row exercise
-                // multicast, claims on one target from several inputs
-                // exercise the integrity check's drop path.
-                if (rng.next_bool(0.08)) precalc.claim(i, j);
+        util::Xoshiro256 rng(4242);
+        core::MulticastResult r_opt, r_ref;
+        for (std::size_t cycle = 0; cycle < kCycles; ++cycle) {
+            const double density =
+                kDensities[cycle % (sizeof(kDensities) / sizeof(double))];
+            const sched::RequestMatrix requests =
+                random_requests(rng, g, density);
+            core::PrecalcSchedule precalc(g.inputs, g.outputs);
+            for (std::size_t i = 0; i < g.inputs; ++i) {
+                for (std::size_t j = 0; j < g.outputs; ++j) {
+                    // Sparse claims; multiple claims per row exercise
+                    // multicast, claims on one target from several inputs
+                    // exercise the integrity check's drop path.
+                    if (rng.next_bool(claim_p)) precalc.claim(i, j);
+                }
             }
+            opt.schedule_with_precalc(requests, precalc, r_opt);
+            ref.schedule_with_precalc(requests, precalc, r_ref);
+            const std::string where = "cycle " + std::to_string(cycle) +
+                                      " (" + std::to_string(g.inputs) + "x" +
+                                      std::to_string(g.outputs) + ")";
+            ASSERT_EQ(r_opt.fanout, r_ref.fanout) << where;
+            ASSERT_EQ(r_opt.unicast, r_ref.unicast) << where;
+            ASSERT_EQ(r_opt.dropped, r_ref.dropped) << where;
+            ASSERT_TRUE(r_opt.consistent()) << where;
         }
-        opt.schedule_with_precalc(requests, precalc, r_opt);
-        ref.schedule_with_precalc(requests, precalc, r_ref);
-        ASSERT_EQ(r_opt.fanout, r_ref.fanout) << "cycle " << cycle;
-        ASSERT_EQ(r_opt.unicast, r_ref.unicast) << "cycle " << cycle;
-        ASSERT_EQ(r_opt.dropped, r_ref.dropped) << "cycle " << cycle;
-        ASSERT_TRUE(r_opt.consistent()) << "cycle " << cycle;
     }
 }
 
