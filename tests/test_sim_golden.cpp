@@ -107,6 +107,32 @@ TEST(SimGolden, PermutationIslip) {
          0.84606944444444443});
 }
 
+// The benchmark's geometry (256 ports, uniform 0.9): multi-word bitsets,
+// and requests that persist from slot to slot in the VOQs, so iSLIP's
+// and RRM's grant-pointer rules steer later slots apart.
+sim::SimResult run_n256_point(const std::string& sched) {
+    sim::SimConfig c;
+    c.ports = 256;
+    c.slots = 400;
+    c.warmup_slots = 100;
+    c.seed = 7777;
+    return sim::run_named(sched, c, "uniform", 0.9,
+                          sched::SchedulerConfig{.iterations = 4,
+                                                 .seed = 7777});
+}
+
+TEST(SimGolden, Uniform256Islip) {
+    expect_matches_golden(run_n256_point("islip"),
+                          {92280, 90131, 0, 67019, 90131, 9.4478431489577979,
+                           40.0, 0.89397135416666662, 8.4745442708333325});
+}
+
+TEST(SimGolden, Uniform256Rrm) {
+    expect_matches_golden(run_n256_point("rrm"),
+                          {92280, 90247, 0, 67135, 90247, 9.0445520220450835,
+                           48.0, 0.89523437500000003, 8.1879817708333338});
+}
+
 // ---------------------------------------------------------------------
 // sweep(): golden values and thread-count independence.
 
