@@ -26,7 +26,7 @@ void LcfDistScheduler::schedule(const sched::RequestMatrix& requests,
         level_rows_.assign(n_out + 1, util::BitVec(n_out));
         used_ = util::BitVec(n_out + 1);
         visit_ = util::BitVec(n_out);
-        cand_ = granted_ = util::BitVec(n_in);
+        granted_ = util::BitVec(n_in);
         best_.assign(n_in, UINT64_MAX);
     }
     // A switch that shrank since the last cycle keeps walking its RR
@@ -73,9 +73,8 @@ void LcfDistScheduler::schedule(const sched::RequestMatrix& requests,
             hits &= visit_;
             visit_.subtract(hits);
             for (const std::size_t j : hits.set_bits()) {
-                cand_.assign_and(requests.col(j), level_inputs_[k]);
-                const std::size_t i =
-                    cand_.find_first_from(sched::wrap(in0 + j, n_in));
+                const std::size_t i = requests.col(j).find_first_and_from(
+                    level_inputs_[k], sched::wrap(in0 + j, n_in));
                 const std::uint64_t ngt = requests.col(j).and_count(free_in);
                 best_[i] = std::min(best_[i], ngt << 32 | sched::rotated_rank(
                     j, sched::wrap(out0 + i, n_out), n_out));

@@ -86,7 +86,6 @@ private:
     std::vector<util::BitVec> level_rows_;    // [k]: union of their rows
     util::BitVec used_;                // NRQ levels holding inputs
     util::BitVec visit_;               // free outputs not yet granted
-    util::BitVec cand_;                // scratch: col(j) ∩ level k
     util::BitVec granted_;             // inputs holding grants this round
     std::vector<std::uint64_t> best_;  // per input: min (NGT << 32 | rank)
     sched::Arbiter arbiter_;

@@ -1,12 +1,11 @@
 #pragma once
 // Shared core of the iterative request / grant / accept matchers
 // (iSLIP/RRM, PIM, iLQF, FIFO) and of the wavefront sweep: the free-port
-// sets (all that distributed LCF uses), each output's candidate set and
-// each input's received grants. A scheduler supplies only its pick
-// rules; a pick over a candidate or grant set is a word-parallel BitVec
-// query ("first set bit at or after the pointer" via find_first_from)
-// or a min_rotated() over the set bits, instead of a per-bit
-// `(ptr + k) % n` probe loop; pointers move with wrap(), not `%`.
+// sets (all that distributed LCF uses) and the grant/accept round. A
+// scheduler supplies only its pick rules: word-parallel BitVec queries
+// (find_first_and_from) or a min_rotated() over the candidates, and a
+// running minimum of packed `key << 32 | rotated rank` words for the
+// accept; pointers move with wrap(), not `%`.
 
 #include <algorithm>
 #include <cassert>
@@ -37,11 +36,11 @@ constexpr std::size_t wrap(std::size_t x, std::size_t n) noexcept {
     return x < n ? x : x - n < n ? x - n : x % n;
 }
 
-/// The set bit of the non-empty `set` minimising (key(bit),
-/// rotated_rank(bit, start, set.size())): the lowest key, ties going to
-/// the bit earliest in the rotating chain from `start`. Keys must fit in
-/// 32 bits; each bit is scored as one packed `(key << 32) | rank` word,
-/// so the minimum costs a single compare per bit.
+/// The set bit of `set` minimising (key(bit), rotated_rank(bit, start,
+/// set.size())): the lowest key, ties going to the bit earliest in the
+/// rotating chain from `start`; npos when `set` is empty. Keys must fit
+/// in 32 bits; each bit is scored as one packed `(key << 32) | rank`
+/// word, so the minimum costs a single compare per bit.
 template <class Key>
 std::size_t min_rotated(const util::BitVec& set, std::size_t start,
                         Key&& key) {
@@ -52,17 +51,15 @@ std::size_t min_rotated(const util::BitVec& set, std::size_t start,
         assert(v <= UINT32_MAX);
         best = std::min(best, v << 32 | rotated_rank(k, start, n));
     }
-    assert(best != UINT64_MAX);
-    const std::size_t idx = start + (best & UINT32_MAX);
-    return idx >= n ? idx - n : idx;
+    return best == UINT64_MAX ? util::BitVec::npos
+                              : wrap(start + (best & UINT32_MAX), n);
 }
 
 /// Per-slot request / grant / accept state, sized from the request
-/// matrix by begin() when the geometry changes; the grant/offer state
-/// only round() touches is sized by its first call after such a change,
-/// so users that never run a round (distributed LCF, the wavefront,
-/// FIFO) do not carry it. Holds non-owning pointers to the request
-/// matrix and matching of the current schedule() call.
+/// matrix by begin() when the geometry changes; round()'s own state
+/// (live outputs, each input's least grant score; no offer sets) is
+/// sized by its first call after such a change. Holds non-owning
+/// pointers to the request matrix and matching of the current call.
 class Arbiter {
 public:
     /// Start a slot: reset `out` to the empty matching over the
@@ -76,7 +73,6 @@ public:
         if (free_inputs_.size() != n_in || free_outputs_.size() != n_out) {
             free_inputs_ = cand_ = util::BitVec(n_in);
             free_outputs_ = util::BitVec(n_out);
-            offers_.clear();  // round() sizes its state on first use
         }
         free_inputs_.fill();
         free_outputs_.fill();
@@ -103,28 +99,35 @@ public:
         free_outputs_.reset(j);
     }
 
-    /// One request / grant / accept round; returns false when it
-    /// issues no grant (the matcher has converged). Every free output
-    /// with candidates grants `grant(j, candidates)`; then every input
-    /// holding grants, in ascending order, accepts
-    /// `accept(i, offers, iter)` out of its set of granting outputs.
-    template <class Grant, class Accept>
-    bool round(std::size_t iter, Grant&& grant, Accept&& accept) {
-        if (offers_.size() != free_inputs_.size()) {
+    /// One request / grant / accept round; false when it issues no
+    /// grant. Every live output j grants `grant(j, iter)`: an input, or
+    /// npos when no free input requests j, which then sits out the slot
+    /// (free inputs only shrink). Each input keeps the least score(i, j)
+    /// of its grants; inputs accept `accept(i, least, iter)` in order.
+    template <class Grant, class Score, class Accept>
+    bool round(std::size_t iter, Grant&& grant, Score&& score,
+               Accept&& accept) {
+        if (iter == 0) live_ = free_outputs_;
+        if (free_inputs_.none()) return false;
+        if (best_.size() != free_inputs_.size()) {
+            best_.assign(free_inputs_.size(), UINT64_MAX);
             granted_ = util::BitVec(free_inputs_.size());
-            offers_.assign(free_inputs_.size(),
-                           util::BitVec(free_outputs_.size()));
         }
-        for (const std::size_t j : free_outputs_.set_bits()) {
-            if (candidates(j).none()) continue;
-            const std::size_t i = grant(j, cand_);
-            offers_[i].set(j);
+        for (const std::size_t j : live_.set_bits()) {
+            const std::size_t i = grant(j, iter);
+            if (i == util::BitVec::npos) {
+                live_.reset(j);
+                continue;
+            }
+            best_[i] = std::min(best_[i], score(i, j));
             granted_.set(i);
         }
         if (granted_.none()) return false;
         for (const std::size_t i : granted_.set_bits()) {
-            match(i, accept(i, offers_[i], iter));
-            offers_[i].clear();
+            const std::size_t j = accept(i, best_[i], iter);
+            match(i, j);
+            live_.reset(j);
+            best_[i] = UINT64_MAX;
         }
         granted_.clear();
         return true;
@@ -132,11 +135,11 @@ public:
 
     /// Up to `iterations` rounds; returns the number executed (a round
     /// that issues no grant is the last).
-    template <class Grant, class Accept>
-    std::size_t iterate(std::size_t iterations, Grant&& grant,
+    template <class Grant, class Score, class Accept>
+    std::size_t iterate(std::size_t iterations, Grant&& grant, Score&& score,
                         Accept&& accept) {
         std::size_t iter = 0;
-        while (iter < iterations && round(iter++, grant, accept)) {
+        while (iter < iterations && round(iter++, grant, score, accept)) {
         }
         return iter;
     }
@@ -147,8 +150,9 @@ private:
     util::BitVec free_inputs_;
     util::BitVec free_outputs_;
     util::BitVec cand_;                // scratch: candidates(j)
+    util::BitVec live_;                // round(): outputs still requested
     util::BitVec granted_;             // round(): inputs holding grants
-    std::vector<util::BitVec> offers_;  // round(): each input's grants
+    std::vector<std::uint64_t> best_;  // round(): each input's least score
 };
 
 }  // namespace lcf::sched

@@ -19,9 +19,9 @@ void FifoRrScheduler::schedule(const RequestMatrix& requests, Matching& out) {
     // matrices too (it then acts as a greedy row-exclusive round-robin
     // arbiter).
     for (const std::size_t j : arbiter_.free_outputs().set_bits()) {
-        const util::BitVec& cand = arbiter_.candidates(j);
-        if (cand.none()) continue;
-        const std::size_t i = cand.find_first_from(grant_ptr_[j]);
+        const std::size_t i = requests.col(j).find_first_and_from(
+            arbiter_.free_inputs(), grant_ptr_[j]);
+        if (i == util::BitVec::npos) continue;
         arbiter_.match(i, j);
         grant_ptr_[j] = wrap(i + 1, n_in);
     }

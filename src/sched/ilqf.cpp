@@ -37,13 +37,16 @@ void IlqfScheduler::schedule(const RequestMatrix& requests, Matching& out) {
     // smallest key.
     last_iterations_ = arbiter_.iterate(
         iterations_,
-        [&](std::size_t j, const util::BitVec& cand) {
-            return min_rotated(cand, wrap(in0 + j, n_in),
+        [&](std::size_t j, std::size_t) {
+            return min_rotated(arbiter_.candidates(j), wrap(in0 + j, n_in),
                                [&](std::size_t i) { return ~weight(i, j); });
         },
-        [&](std::size_t i, const util::BitVec& offers, std::size_t) {
-            return min_rotated(offers, wrap(out0 + i, n_out),
-                               [&](std::size_t j) { return ~weight(i, j); });
+        [&](std::size_t i, std::size_t j) {
+            return std::uint64_t{~weight(i, j)} << 32 |
+                   rotated_rank(j, wrap(out0 + i, n_out), n_out);
+        },
+        [&](std::size_t i, std::uint64_t best, std::size_t) {
+            return wrap(out0 + i + (best & UINT32_MAX), n_out);
         });
     ++cycle_;
 }

@@ -18,22 +18,27 @@ void IslipScheduler::schedule(const RequestMatrix& requests, Matching& out) {
         reset(n_in, n_out);
     }
     arbiter_.begin(requests, out);
+    // RRM moves every granting output's pointer in the first iteration,
+    // here at grant time: nothing reads it again before the next round.
+    const bool move_on_grant = rule_ == GrantPointerRule::kUnconditional;
     last_iterations_ = arbiter_.iterate(
         iterations_,
-        [&](std::size_t j, const util::BitVec& cand) {
-            return cand.find_first_from(grant_ptr_[j]);
+        [&](std::size_t j, std::size_t iter) {
+            const std::size_t i = requests.col(j).find_first_and_from(
+                arbiter_.free_inputs(), grant_ptr_[j]);
+            if (iter == 0 && move_on_grant && i != util::BitVec::npos) {
+                grant_ptr_[j] = wrap(i + 1, n_in);
+            }
+            return i;
         },
-        [&](std::size_t i, const util::BitVec& offers, std::size_t iter) {
-            const std::size_t j = offers.find_first_from(accept_ptr_[i]);
+        [&](std::size_t i, std::size_t j) -> std::uint64_t {
+            return rotated_rank(j, accept_ptr_[i], n_out);  // key 0
+        },
+        [&](std::size_t i, std::uint64_t rank, std::size_t iter) {
+            const std::size_t j = wrap(accept_ptr_[i] + rank, n_out);
             if (iter == 0) {
-                const std::size_t next = wrap(i + 1, n_in);
-                grant_ptr_[j] = next;
+                grant_ptr_[j] = wrap(i + 1, n_in);
                 accept_ptr_[i] = wrap(j + 1, n_out);
-                if (rule_ == GrantPointerRule::kUnconditional) {
-                    for (const std::size_t g : offers.set_bits()) {
-                        grant_ptr_[g] = next;  // refused grants move too
-                    }
-                }
             }
             return j;
         });

@@ -8,6 +8,8 @@
 #include "sched/scheduler.hpp"
 #include "util/rng.hpp"
 
+#include <vector>
+
 namespace lcf::sched {
 
 /// PIM with a configurable iteration count (paper's Figure 12 uses 4).
@@ -33,6 +35,7 @@ private:
     util::Xoshiro256 rng_;
     std::uint64_t seed_;
     Arbiter arbiter_;
+    std::vector<util::BitVec> offers_;  // each input's grants this round
 };
 
 }  // namespace lcf::sched

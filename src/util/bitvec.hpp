@@ -113,19 +113,28 @@ public:
     /// vector is empty or no bit is set. Precondition: pos < size() (an
     /// out-of-range pos is treated as 0 in release builds).
     [[nodiscard]] std::size_t find_first_from(std::size_t pos) const noexcept {
+        return find_first_and_from(*this, pos);  // w & w = w
+    }
+    /// find_first_from(pos) of (*this & mask) without materializing the
+    /// intersection; both operands must have equal size.
+    [[nodiscard]] std::size_t find_first_and_from(
+        const BitVec& mask, std::size_t pos) const noexcept {
+        LCF_BITVEC_ASSERT(size_ == mask.size_);
         if (size_ == 0) return npos;
         LCF_BITVEC_ASSERT(pos < size_);
         if (pos >= size_) pos = 0;
         const std::size_t wi = pos / kWordBits;
         const std::uint64_t below = (std::uint64_t{1} << (pos % kWordBits)) - 1;
-        // Tail segment [pos, size()), then the wrapped segment [0, pos).
-        const std::size_t tail = first_set_from(wi, ~below);
-        if (tail != npos) return tail;
-        for (std::size_t k = 0; k <= wi; ++k) {
-            const std::uint64_t w = k == wi ? words_[k] & below : words_[k];
+        // [pos, size()), the other words from wi + 1 round, then [0, pos).
+        const std::uint64_t first = words_[wi] & mask.words_[wi];
+        if ((first & ~below) != 0) return lowest(wi, first & ~below);
+        const std::size_t last = words_.size() - 1;
+        for (std::size_t k = wi == last ? 0 : wi + 1; k != wi;
+             k = k == last ? 0 : k + 1) {
+            const std::uint64_t w = words_[k] & mask.words_[k];
             if (w != 0) return lowest(k, w);
         }
-        return npos;
+        return (first & below) != 0 ? lowest(wi, first & below) : npos;
     }
 
     /// Popcount of (*this & other) without materializing the

@@ -362,13 +362,15 @@ void expect_warm_calls_allocate_nothing(const std::string& name, Call call) {
               << " allocations in " << kCalls << " warm schedule() calls\n";
 }
 
-// Distributed LCF at the benchmark's 256 ports: full rows put every
-// input on the top NRQ level, so the level tables reach their largest
-// index. The tables are sized once per geometry, so the warm window
-// allocates nothing at all.
+// Distributed LCF and the arbiter-based matchers at the benchmark's 256
+// ports: full rows put every input on lcf_dist's top NRQ level, so its
+// level tables reach their largest index, and every round the matchers
+// run fills their grant and offer state. All of it is sized once per
+// geometry, so the warm window allocates nothing at all.
 TEST(AllocationGate, WarmLcfDistCallsAt256PortsAllocateNothing) {
     const std::vector<sched::RequestMatrix> requests = big_requests();
-    for (const std::string name : {"lcf_dist", "lcf_dist_rr"}) {
+    for (const std::string name : {"lcf_dist", "lcf_dist_rr", "islip", "rrm",
+                                   "pim", "ilqf", "fifo"}) {
         auto scheduler = core::make_scheduler(name);
         scheduler->reset(kBigPorts, kBigPorts);
         sched::Matching matching(kBigPorts);

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <vector>
 
 #include "util/rng.hpp"
 
@@ -215,6 +216,46 @@ TEST(BitVec, AndCountMatchesMaterializedIntersection) {
         c &= b;
         EXPECT_EQ(a.and_count(b), c.count()) << n;
     }
+}
+
+// The fused query against the materialized intersection and against a
+// per-bit rotated scan, at every start position: sizes around the word
+// boundaries reach the wrap from the last (partial) word back to word 0.
+TEST(BitVec, FindFirstAndFromMatchesMaterializedAnd) {
+    Xoshiro256 rng(29);
+    auto random = [&](std::size_t n, double density) {
+        BitVec v(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            if (rng.next_bool(density)) v.set(i);
+        }
+        return v;
+    };
+    for (const std::size_t n : {1u, 63u, 64u, 65u, 130u, 256u}) {
+        BitVec full(n);
+        full.fill();
+        const std::vector<BitVec> masks = {BitVec(n), full, random(n, 0.5),
+                                           random(n, 0.03)};
+        const std::vector<BitVec> sets = {full, random(n, 0.5),
+                                          random(n, 0.03)};
+        for (const BitVec& set : sets) {
+            for (const BitVec& mask : masks) {
+                BitVec both(n);
+                both.assign_and(set, mask);
+                for (std::size_t pos = 0; pos < n; ++pos) {
+                    std::size_t scan = BitVec::npos;
+                    for (std::size_t k = 0; k < n && scan == BitVec::npos;
+                         ++k) {
+                        if (both.test((pos + k) % n)) scan = (pos + k) % n;
+                    }
+                    const std::size_t got = set.find_first_and_from(mask, pos);
+                    EXPECT_EQ(got, both.find_first_from(pos))
+                        << "n=" << n << " pos=" << pos;
+                    EXPECT_EQ(got, scan) << "n=" << n << " pos=" << pos;
+                }
+            }
+        }
+    }
+    EXPECT_EQ(BitVec().find_first_and_from(BitVec(), 0), BitVec::npos);
 }
 
 TEST(BitVec, AssignAndAssignSubtract) {
