@@ -39,12 +39,13 @@ run_gate() {
 }
 
 # Scheduler-level: schedule() microbenchmarks at n in {16, 64}, plus
-# central and distributed LCF at n=256 on sparse matrices (density 0.02,
-# about what SwitchSim presents at load 0.9): the gated scheduler rows at
-# the radix and density of perfbench's voq_n256_uniform workload.
+# central and distributed LCF and iSLIP at n=256 on sparse matrices
+# (density 0.02, about what SwitchSim presents at load 0.9): the three
+# schedulers of perfbench's voq_n256_uniform workload at its radix and
+# density.
 run_gate "$BUILD_DIR/bench/bench_sched_speed" \
     "$REPO_ROOT/BENCH_sched_speed.json" \
-    '/(16|64)$|^BM_Lcf(Central|Dist)Sparse/256$' 0.05
+    '/(16|64)$|^BM_(Lcf(Central|Dist)|Islip)Sparse/256$' 0.05
 
 # End-to-end: slots/sec at n in {16, 64}, load 0.9, plus the uniform
 # n=256 load-0.9 rows (each runs its own 2.5 s minimum, 10 or more
