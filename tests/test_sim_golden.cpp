@@ -133,6 +133,18 @@ TEST(SimGolden, Uniform256Rrm) {
                            48.0, 0.89523437500000003, 8.1879817708333338});
 }
 
+TEST(SimGolden, Uniform256LcfCentral) {
+    expect_matches_golden(run_n256_point("lcf_central"),
+                          {92280, 90926, 0, 67814, 90926, 6.1577845282685377,
+                           57.0, 0.89858072916666665, 5.8213541666666666});
+}
+
+TEST(SimGolden, Uniform256LcfDist) {
+    expect_matches_golden(run_n256_point("lcf_dist"),
+                          {92280, 91024, 0, 67912, 91024, 5.744522323006291,
+                           57.0, 0.89856770833333333, 5.4396744791666665});
+}
+
 // ---------------------------------------------------------------------
 // sweep(): golden values and thread-count independence.
 
