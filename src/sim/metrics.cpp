@@ -17,15 +17,6 @@ MetricsCollector::MetricsCollector(std::size_t inputs, std::size_t outputs,
       outputs_(outputs),
       service_(record_service_matrix ? inputs * outputs : 0, 0) {}
 
-void MetricsCollector::record_measured(std::uint64_t delay, std::size_t input,
-                                       std::size_t output) noexcept {
-    delay_.add(delay);
-    delay_stat_.add(static_cast<double>(delay));
-    if (!service_.empty()) {
-        ++service_[input * outputs_ + output];
-    }
-}
-
 std::uint64_t MetricsCollector::service(std::size_t input,
                                         std::size_t output) const noexcept {
     return service_.empty() ? 0 : service_[input * outputs_ + output];

@@ -21,20 +21,19 @@ public:
     MetricsCollector(std::size_t inputs, std::size_t outputs,
                      std::uint64_t warmup_slot, bool record_service_matrix);
 
-    /// A packet was generated (enters accounting regardless of warm-up).
-    void on_generated() noexcept { ++generated_; }
-    /// A packet was dropped at the packet queue / FIFO / output buffer.
-    void on_dropped() noexcept { ++dropped_; }
-    /// A packet crossed the output link. `delay` is in slots;
-    /// `generated_slot` decides warm-up exclusion. Inline so the warm-up
-    /// fast path (a counter bump and one compare) costs no call in the
-    /// simulator's transfer loop; the measured slow path stays
-    /// out-of-line.
+    /// Packets were generated (they count regardless of warm-up).
+    void on_generated(std::uint64_t n = 1) noexcept { generated_ += n; }
+    /// Packets were dropped at the packet queue / FIFO / output buffer.
+    void on_dropped(std::uint64_t n = 1) noexcept { dropped_ += n; }
+    /// A packet crossed the output link. `delay` is in slots; `generated_slot`
+    /// decides warm-up exclusion. Inline: the simulator calls it per packet.
     void on_delivered(std::uint64_t generated_slot, std::uint64_t delay,
-                      std::size_t input, std::size_t output) noexcept {
+                      std::size_t input, std::size_t output) {
         ++delivered_;
         if (generated_slot < warmup_slot_) return;
-        record_measured(delay, input, output);
+        delay_.add(delay);
+        delay_stat_.add(static_cast<double>(delay));
+        if (!service_.empty()) ++service_[input * outputs_ + output];
     }
 
     [[nodiscard]] std::uint64_t generated() const noexcept { return generated_; }
@@ -61,9 +60,6 @@ public:
     }
 
 private:
-    void record_measured(std::uint64_t delay, std::size_t input,
-                         std::size_t output) noexcept;
-
     std::uint64_t warmup_slot_;
     std::uint64_t generated_ = 0;
     std::uint64_t dropped_ = 0;

@@ -9,7 +9,7 @@ namespace lcf::sim {
 
 /// One fixed-size packet travelling through the simulated switch.
 struct Packet {
-    std::uint64_t id = 0;        ///< unique per simulation, in generation order
+    std::uint64_t id = 0;  ///< Clint: unique, in generation order; SwitchSim: 0
     std::uint32_t source = 0;    ///< input port that generated it
     std::uint32_t destination = 0;  ///< output port it is destined for
     std::uint64_t generated_slot = 0;  ///< slot in which the PG emitted it

@@ -21,6 +21,12 @@ obs::SchedObserver make_observer(const SimConfig& config,
             scheduler != nullptr ? config.trace_capacity : 0, paranoid};
 }
 
+// A packet as a VOQ holds it: the (input, output) names all but its slot.
+Packet packet(std::size_t input, std::size_t output, std::uint64_t slot) {
+    return {0, static_cast<std::uint32_t>(input),
+            static_cast<std::uint32_t>(output), slot};
+}
+
 // A zero-capacity buffer would silently drop every packet offered to it.
 void require_capacity(std::size_t capacity, const char* field) {
     if (capacity == 0) {
@@ -39,6 +45,7 @@ SwitchSim::SwitchSim(const SimConfig& config,
       metrics_(config.ports, config.ports, config.warmup_slots,
                config.record_service_matrix),
       requests_(config.ports),
+      masked_(config.fault_plan.host_crashes.empty() ? 0 : config.ports),
       matching_(config.ports),
       observer_(make_observer(config, scheduler_.get())),
       injector_(config.fault_plan) {
@@ -62,9 +69,9 @@ SwitchSim::SwitchSim(const SimConfig& config,
             require_capacity(config_.pq_capacity, "pq_capacity");
             input_queues_.assign(config_.ports,
                                  PacketQueue(config_.pq_capacity));
-            // VoqBank rejects a zero or oversized voq_capacity itself.
-            voqs_.assign(config_.ports,
-                         VoqBank(config_.ports, config_.voq_capacity));
+            // The bank rejects a zero or oversized voq_capacity itself.
+            voqs_ = SlotVoqBank(config_.ports * config_.ports,
+                                config_.voq_capacity);
             if (config_.speedup > 1) {
                 require_capacity(config_.outbuf_capacity, "outbuf_capacity");
                 output_buffers_.assign(config_.ports,
@@ -138,54 +145,45 @@ void SwitchSim::apply_fabric() {
     }
 }
 
-void SwitchSim::deliver(const Packet& p) {
+inline void SwitchSim::deliver(const Packet& p) {
     // The packet crosses the output link during the current slot and is
     // gone at its end: delay = (slot_ + 1) - generated_slot, so a packet
     // forwarded in its generation slot has the minimum delay of 1.
     const std::uint64_t delay = slot_ + 1 - p.generated_slot;
     metrics_.on_delivered(p.generated_slot, delay, p.source, p.destination);
-    if (slot_ >= config_.warmup_slots) ++departed_after_warmup_;
 }
 
 void SwitchSim::step_arrivals() {
     traffic_->arrivals(slot_, arrival_buf_.data());
+    const bool any_down = injector_.down_hosts().any();
+    const bool voq = config_.mode == SwitchMode::kVoq;
+    const bool outbuf = config_.mode == SwitchMode::kOutputBuffered;
+    std::uint64_t generated = 0;
+    std::uint64_t dropped = 0;
     for (std::size_t i = 0; i < config_.ports; ++i) {
         const std::int32_t dst = arrival_buf_[i];
         if (dst == traffic::kNoArrival) continue;
-        metrics_.on_generated();
-        if (injector_.down_hosts().test(i)) {
-            // A crashed host offers the packet into the void.
-            metrics_.on_dropped();
-            ++next_packet_id_;
-            continue;
-        }
-        const Packet p{next_packet_id_++, static_cast<std::uint32_t>(i),
-                       static_cast<std::uint32_t>(dst), slot_};
-        bool accepted = false;
-        switch (config_.mode) {
-            case SwitchMode::kVoq:
-                // This slot's PQ -> VOQ pass would move a packet that
-                // finds its PQ empty straight on when its VOQ has room.
-                accepted = (input_queues_[i].empty() && to_voq(i, p)) ||
-                           input_queues_[i].push(p);
-                break;
-            case SwitchMode::kFifo:
-                accepted = input_queues_[i].push(p);
-                break;
-            case SwitchMode::kOutputBuffered:
-                accepted = output_buffers_[p.destination].push(p);
-                break;
-        }
-        if (!accepted) metrics_.on_dropped();
+        ++generated;
+        const auto j = static_cast<std::size_t>(dst);
+        // A crashed host offers the packet into the void. In kVoq mode,
+        // this slot's PQ -> VOQ pass would move a packet that finds its
+        // PQ empty straight on when its VOQ has room.
+        const bool accepted =
+            !(any_down && injector_.down_hosts().test(i)) &&
+            ((voq && input_queues_[i].empty() && to_voq(packet(i, j, slot_))) ||
+             (outbuf ? output_buffers_[j] : input_queues_[i])
+                 .push(packet(i, j, slot_)));
+        if (!accepted) ++dropped;
     }
+    metrics_.on_generated(generated);
+    metrics_.on_dropped(dropped);
 }
 
-bool SwitchSim::to_voq(std::size_t input, const Packet& p) {
-    if (!voqs_[input].push(p)) return false;
-    requests_.set(input, p.destination);
-    if (track_queue_lengths_) {
-        ++queue_lengths_[input * config_.ports + p.destination];
-    }
+inline bool SwitchSim::to_voq(const Packet& p) {
+    const std::size_t q = p.source * config_.ports + p.destination;
+    if (!voqs_.push(q, p.generated_slot)) return false;
+    requests_.set(p.source, p.destination);
+    if (track_queue_lengths_) ++queue_lengths_[q];
     return true;
 }
 
@@ -195,7 +193,7 @@ void SwitchSim::step_voq_mode() {
     // virtual output queues").
     for (std::size_t i = 0; i < config_.ports; ++i) {
         auto& pq = input_queues_[i];
-        while (!pq.empty() && to_voq(i, pq.front())) pq.pop();
+        while (!pq.empty() && to_voq(pq.front())) pq.pop();
     }
 
     const bool stall = stalled();
@@ -222,22 +220,21 @@ void SwitchSim::step_voq_mode() {
         // straight onto the output link; with speedup the fabric outruns
         // the link, so packets land in the per-output buffer drained at
         // line rate at the end of step().
+        const bool direct = config_.speedup == 1;
         for (const std::size_t j : matching_.matched_outputs().set_bits()) {
-            const std::int32_t i = matching_.input_of(j);
-            assert(i != sched::kUnmatched);
-            auto& bank = voqs_[static_cast<std::size_t>(i)];
-            assert(!bank.empty(j));
-            if (config_.speedup == 1) {
-                deliver(bank.pop(j));
+            assert(matching_.input_of(j) != sched::kUnmatched);
+            const auto i = static_cast<std::size_t>(matching_.input_of(j));
+            const std::size_t q = i * config_.ports + j;
+            assert(!voqs_.empty(q));
+            if (direct) {
+                deliver(packet(i, j, voqs_.pop(q)));
             } else if (!output_buffers_[j].full()) {
-                output_buffers_[j].push(bank.pop(j));
+                output_buffers_[j].push(packet(i, j, voqs_.pop(q)));
             } else {
                 continue;  // full output buffer leaves the packet in its VOQ
             }
-            if (bank.empty(j)) requests_.set(static_cast<std::size_t>(i), j, false);
-            if (track_queue_lengths_) {
-                --queue_lengths_[static_cast<std::size_t>(i) * config_.ports + j];
-            }
+            if (voqs_.empty(q)) requests_.set(i, j, false);
+            if (track_queue_lengths_) --queue_lengths_[q];
         }
     }
 }
@@ -264,6 +261,7 @@ void SwitchSim::step_fifo_mode() {
 }
 
 void SwitchSim::step() {
+    if (slot_ == config_.warmup_slots) delivered_in_warmup_ = metrics_.delivered();
     injector_.begin_slot(slot_);
     step_arrivals();
     switch (config_.mode) {
@@ -301,7 +299,7 @@ bool SwitchSim::requests_mirror_voqs() const {
     sched::RequestMatrix expected(config_.ports);
     for (std::size_t i = 0; i < config_.ports; ++i) {
         for (std::size_t j = 0; j < config_.ports; ++j) {
-            if (!voqs_[i].empty(j)) expected.set(i, j);
+            if (!voqs_.empty(i * config_.ports + j)) expected.set(i, j);
         }
     }
     return requests_ == expected;
@@ -313,7 +311,7 @@ Accounting SwitchSim::accounting() const noexcept {
     a.delivered_unique = metrics_.delivered();
     a.dropped = metrics_.dropped();
     for (const auto& q : input_queues_) a.queued += q.size();
-    for (const auto& bank : voqs_) a.queued += bank.total_buffered();
+    a.queued += voqs_.total_buffered();
     for (const auto& q : output_buffers_) a.queued += q.size();
     return a;
 }
@@ -346,7 +344,7 @@ SimResult SwitchSim::result() const {
     r.throughput =
         measured_slots == 0
             ? 0.0
-            : static_cast<double>(departed_after_warmup_) /
+            : static_cast<double>(metrics_.delivered() - delivered_in_warmup_) /
                   (static_cast<double>(measured_slots) *
                    static_cast<double>(config_.ports));
     if (metrics_.has_service_matrix()) {

@@ -97,6 +97,17 @@ struct SimConfig {
     fault::FaultPlan fault_plan;
 };
 
+/// One input's VOQs: queues [first, first + ports) of the switch's bank.
+struct InputVoqs {
+    const SlotVoqBank& bank;
+    std::size_t first, ports;
+    [[nodiscard]] std::size_t total_buffered() const noexcept {
+        std::size_t total = 0;
+        for (std::size_t j = 0; j < ports; ++j) total += bank.size(first + j);
+        return total;
+    }
+};
+
 /// One switch simulation. Construct, then either run() to completion or
 /// step() slot by slot (the introspection accessors support white-box
 /// tests). The scheduler is unused (and may be null) in kOutputBuffered
@@ -125,9 +136,9 @@ public:
     [[nodiscard]] const MetricsCollector& metrics() const noexcept {
         return metrics_;
     }
-    /// VOQ bank of `input` (kVoq mode only).
-    [[nodiscard]] const VoqBank& voq(std::size_t input) const noexcept {
-        return voqs_[input];
+    /// VOQs of `input` (kVoq mode only).
+    [[nodiscard]] InputVoqs voq(std::size_t input) const noexcept {
+        return {voqs_, input * config_.ports, config_.ports};
     }
     /// Packet queue of `input` (kVoq mode), or its FIFO (kFifo mode).
     [[nodiscard]] const PacketQueue& input_queue(std::size_t input) const noexcept {
@@ -153,9 +164,9 @@ private:
     void step_voq_mode();
     void step_fifo_mode();
     void deliver(const Packet& p);
-    /// Push `p` into `input`'s VOQ and, when it fits, set its request
-    /// bit and iLQF length; false (nothing changed) when the VOQ is full.
-    bool to_voq(std::size_t input, const Packet& p);
+    /// Queue `p`'s slot in its VOQ, setting its request bit and iLQF length;
+    /// false (no change) when full. Per packet, as is deliver(): both inline.
+    bool to_voq(const Packet& p);
     /// Route matching_ through the Clos fabric (if configured),
     /// unmatching any connection the fabric cannot carry.
     void apply_fabric();
@@ -173,20 +184,18 @@ private:
     MetricsCollector metrics_;
 
     std::vector<PacketQueue> input_queues_;   // PQ (kVoq) or FIFO (kFifo)
-    std::vector<VoqBank> voqs_;               // kVoq only
+    SlotVoqBank voqs_;  // kVoq only: VOQ (i, j) is queue i * ports + j
     std::vector<PacketQueue> output_buffers_; // kOutputBuffered only
 
     // kVoq: mirrors the VOQs bit by bit. kFifo: rebuilt every slot.
     sched::RequestMatrix requests_;
-    sched::RequestMatrix masked_;  // requests_ minus crashed ports
+    sched::RequestMatrix masked_;  // requests_ minus down ports, if any crash
     sched::Matching matching_;
     // Per-slot arrival destinations, filled by one batched
     // traffic_->arrivals() call instead of ports virtual calls per slot.
     std::vector<std::int32_t> arrival_buf_;
-    // VOQ occupancy counts for iLQF-style (weight-aware) schedulers,
-    // maintained incrementally at every VOQ push/pop instead of an
-    // O(ports²) gather per scheduling phase. Only tracked when the
-    // scheduler asks for queue lengths.
+    // VOQ lengths for weight-aware schedulers (iLQF), kept at every push
+    // and pop instead of gathered per phase; only when they ask for them.
     std::vector<std::uint32_t> queue_lengths_;
     bool track_queue_lengths_ = false;
 
@@ -199,8 +208,7 @@ private:
     std::uint64_t choices_slots_ = 0;  // mean requests per input
 
     std::uint64_t slot_ = 0;
-    std::uint64_t next_packet_id_ = 0;
-    std::uint64_t departed_after_warmup_ = 0;
+    std::uint64_t delivered_in_warmup_ = 0;  // set as the warm-up ends
 };
 
 }  // namespace lcf::sim

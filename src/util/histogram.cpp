@@ -11,15 +11,13 @@ void Histogram::grow(std::size_t size) {
     buckets_.resize(std::min(n, capacity_), 0);
 }
 
-void Histogram::add(std::uint64_t value) {
+void Histogram::add_beyond(std::uint64_t value) {
     if (value >= capacity_) {
         ++overflow_;
     } else {
-        if (value >= buckets_.size()) grow(value + 1);
+        grow(value + 1);
         ++buckets_[value];
     }
-    ++count_;
-    total_ += static_cast<double>(value);
 }
 
 void Histogram::merge(const Histogram& other) {

@@ -23,7 +23,16 @@ public:
     explicit Histogram(std::size_t capacity = 1024) : capacity_(capacity) {}
 
     /// Record one sample (may allocate when it exceeds every earlier one).
-    void add(std::uint64_t value);
+    /// Inline for the common case of a value inside the allocated range.
+    void add(std::uint64_t value) {
+        if (value < buckets_.size()) {
+            ++buckets_[value];
+        } else {
+            add_beyond(value);
+        }
+        ++count_;
+        total_ += static_cast<double>(value);
+    }
     /// Merge another histogram of the same capacity.
     void merge(const Histogram& other);
 
@@ -47,6 +56,8 @@ public:
 private:
     /// Allocate buckets up to at least `size` (at most capacity()).
     void grow(std::size_t size);
+    /// Bucket (or overflow) count of a value past the allocated range.
+    void add_beyond(std::uint64_t value);
 
     std::size_t capacity_;
     std::vector<std::uint64_t> buckets_;  // the first buckets_.size() values

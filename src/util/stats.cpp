@@ -10,15 +10,6 @@ RunningStat::RunningStat() noexcept
     : min_(std::numeric_limits<double>::infinity()),
       max_(-std::numeric_limits<double>::infinity()) {}
 
-void RunningStat::add(double x) noexcept {
-    ++n_;
-    const double delta = x - mean_;
-    mean_ += delta / static_cast<double>(n_);
-    m2_ += delta * (x - mean_);
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-}
-
 void RunningStat::merge(const RunningStat& other) noexcept {
     if (other.n_ == 0) return;
     if (n_ == 0) {

@@ -1,6 +1,7 @@
 #pragma once
 // Streaming statistics used by the simulator's metric collectors.
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 
@@ -10,8 +11,16 @@ namespace lcf::util {
 /// All operations are O(1); no samples are stored.
 class RunningStat {
 public:
-    /// Fold one observation into the accumulator.
-    void add(double x) noexcept;
+    /// Fold one observation into the accumulator. Inline: simulators
+    /// call it once per delivered packet.
+    void add(double x) noexcept {
+        ++n_;
+        const double delta = x - mean_;
+        mean_ += delta / static_cast<double>(n_);
+        m2_ += delta * (x - mean_);
+        min_ = std::min(min_, x);
+        max_ = std::max(max_, x);
+    }
     /// Merge another accumulator (parallel reduction support).
     void merge(const RunningStat& other) noexcept;
 

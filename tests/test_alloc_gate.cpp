@@ -7,8 +7,9 @@
 //    plan with a host crash, a downlink outage, a scheduler stall and an
 //    uplink bit-error epoch, all inside the measured window;
 //  - SwitchSim at 16 ports and load 0.9 in kVoq mode (speedup 1 and 2),
-//    kFifo and kOutputBuffered mode, each with an empty plan and with a
-//    crash, a stall and a bit-error epoch inside the window;
+//    kFifo and kOutputBuffered mode, and at 256 ports in kVoq mode with
+//    islip, each with an empty plan and with a crash, a stall and a
+//    bit-error epoch inside the window;
 //  - schedule() of every registered scheduler on prebuilt request
 //    matrices, and distributed and central LCF (with the precalculated
 //    path) at 256 ports, where no warm call may allocate at all.
@@ -206,12 +207,14 @@ struct SimCase {
     sim::SwitchMode mode;
     std::size_t speedup;
     bool faults;
+    std::size_t ports = kPorts;
+    const char* scheduler = "lcf_central";  // kVoq only
 };
 
 // Allocations made by the steps of one warm SwitchSim window.
 std::size_t switch_sim_window(const SimCase& c) {
     sim::SimConfig config;
-    config.ports = kPorts;
+    config.ports = c.ports;
     config.slots = kSimWarmup + kSimWindow;
     config.warmup_slots = kSimWarmup;
     config.mode = c.mode;
@@ -226,7 +229,7 @@ std::size_t switch_sim_window(const SimCase& c) {
     }
     std::unique_ptr<sched::Scheduler> scheduler;
     if (c.mode == sim::SwitchMode::kVoq) {
-        scheduler = core::make_scheduler("lcf_central");
+        scheduler = core::make_scheduler(c.scheduler);
     } else if (c.mode == sim::SwitchMode::kFifo) {
         scheduler = core::make_scheduler("fifo");
     }
@@ -256,6 +259,9 @@ TEST(AllocationGate, WarmSwitchSimStaysUnderBudget) {
         {"fifo faulted", SwitchMode::kFifo, 1, true},
         {"outbuf", SwitchMode::kOutputBuffered, 1, false},
         {"outbuf faulted", SwitchMode::kOutputBuffered, 1, true},
+        // The benchmark's geometry: 256 VOQs per input.
+        {"voq 256 islip", SwitchMode::kVoq, 1, false, 256, "islip"},
+        {"voq 256 islip faulted", SwitchMode::kVoq, 1, true, 256, "islip"},
     };
     for (const SimCase& c : cases) {
         const std::size_t allocations = switch_sim_window(c);
