@@ -9,7 +9,11 @@ Usage:
 
 Runs the Release-built benchmark binary over every registered benchmark
 (or reuses an existing google-benchmark JSON via --input), then writes a
-baseline document with:
+baseline document. The binary runs pinned to one CPU of this process's
+own affinity set (the highest-numbered; run the tool under `taskset` to
+choose it) with --benchmark_repetitions=3, and each row keeps its
+fastest repetition: one unpinned run moved rows of unchanged code by up
+to 1.5x between regenerations. The document holds:
 
   - "results": human-oriented before/after rows — for sched_speed the
     optimized-vs-reference-twin pairs, for sim_throughput the
@@ -22,7 +26,9 @@ baseline document with:
     compared against a Debug baseline or vice versa;
   - "library_build_type": the google-benchmark library's own build
     flavour from the JSON context ("debug" adds timing overhead that
-    compare_bench.py warns about).
+    compare_bench.py warns about);
+  - "cpu" (null with --input), "repetitions" and "aggregate": "min",
+    how the rows were taken.
 
 Only the Python standard library is used.
 """
@@ -34,6 +40,8 @@ import re
 import subprocess
 import sys
 import tempfile
+
+REPETITIONS = 3
 
 SCHED_SPEED_PAIRS = [
     ("lcf_central", "BM_LcfCentral", "BM_LcfCentralReference"),
@@ -82,27 +90,45 @@ def read_git_rev():
         return "unknown"
 
 
-def raw_cpu_ns(doc):
-    """Flat {benchmark name: cpu ns} from google-benchmark JSON."""
-    raw = {}
+def fastest_runs(doc):
+    """{benchmark name: its repetition with the least CPU time}."""
+    best = {}
     for b in doc.get("benchmarks", []):
         if b.get("run_type") == "aggregate":
             continue
+        name = b.get("run_name", b["name"])
+        if name not in best or b["cpu_time"] < best[name]["cpu_time"]:
+            best[name] = b
+    return best
+
+
+def repetitions(doc):
+    """Runs per benchmark in a google-benchmark JSON."""
+    counts = {}
+    for b in doc.get("benchmarks", []):
+        if b.get("run_type") != "aggregate":
+            name = b.get("run_name", b["name"])
+            counts[name] = counts.get(name, 0) + 1
+    return max(counts.values(), default=0)
+
+
+def raw_cpu_ns(doc):
+    """Flat {benchmark name: cpu ns} from google-benchmark JSON."""
+    raw = {}
+    for name, b in fastest_runs(doc).items():
         unit = b.get("time_unit", "ns")
         scale = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}[unit]
-        raw[b["name"]] = round(float(b["cpu_time"]) * scale, 1)
+        raw[name] = round(float(b["cpu_time"]) * scale, 1)
     return raw
 
 
 def slots_per_sec(doc):
     """{benchmark name: items_per_second} for sim_throughput rows."""
     out = {}
-    for b in doc.get("benchmarks", []):
-        if b.get("run_type") == "aggregate":
-            continue
+    for name, b in fastest_runs(doc).items():
         ips = b.get("items_per_second")
         if ips is not None:
-            out[b["name"]] = round(float(ips), 1)
+            out[name] = round(float(ips), 1)
     return out
 
 
@@ -163,6 +189,7 @@ def main():
     spec = BENCHES[args.bench]
     output = args.output or spec["output"]
 
+    cpu = None
     if args.input:
         with open(args.input) as f:
             doc = json.load(f)
@@ -174,11 +201,15 @@ def main():
             return 2
         with tempfile.NamedTemporaryFile(suffix=".json", delete=False) as tmp:
             tmp_path = tmp.name
+        cpu = max(os.sched_getaffinity(0))
         try:
             subprocess.run(
                 [binary, f"--benchmark_min_time={args.min_time}",
+                 f"--benchmark_repetitions={REPETITIONS}",
+                 "--benchmark_display_aggregates_only=true",
                  "--json", tmp_path],
-                check=True)
+                check=True,
+                preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
             with open(tmp_path) as f:
                 doc = json.load(f)
         finally:
@@ -202,6 +233,9 @@ def main():
         "library_build_type": doc.get("context", {}).get(
             "library_build_type", "unknown"),
         "host_cpus": doc.get("context", {}).get("num_cpus"),
+        "cpu": cpu,
+        "repetitions": repetitions(doc),
+        "aggregate": "min",
         "results": results,
         "raw": raw,
     }
@@ -212,7 +246,8 @@ def main():
           f"{len(raw)} raw entries "
           f"(build_type={baseline['build_type']}, "
           f"library_build_type={baseline['library_build_type']}, "
-          f"git_rev={baseline['git_rev']})")
+          f"git_rev={baseline['git_rev']}, cpu={cpu}, "
+          f"repetitions={baseline['repetitions']})")
     for row in results:
         if args.bench == "sched_speed":
             print(f"  {row['scheduler']:16} n={row['n']:<4} "
